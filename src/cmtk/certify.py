@@ -150,6 +150,13 @@ class CurveHypothesis:
         return max(13, self.d)
 
 
+def _norm_pairs(conductor_factors):
+    """(norm, multiplicity) per distinct prime of a conductor polynomial; pairs pass through."""
+    if hasattr(conductor_factors, "coeffs"):
+        return [(p.poly.norm, mult) for p, mult in factor_monic(conductor_factors.monic())]
+    return conductor_factors
+
+
 def pic_lower_bound(q, g, conductor_factors):
     """hK_lower_bound * |f| * prod over distinct primes p | f of (1 - 1/|p|).
 
@@ -158,13 +165,8 @@ def pic_lower_bound(q, g, conductor_factors):
     Always a valid lower bound for the class number of the order,
     whatever the characters chi(p) are.
     """
-    if hasattr(conductor_factors, "coeffs"):
-        conductor_factors = [
-            (p.poly.norm, mult)
-            for p, mult in factor_monic(conductor_factors.monic())
-        ]
     bound = hK_lower_bound(q, g)
-    for norm, mult in conductor_factors:
+    for norm, mult in _norm_pairs(conductor_factors):
         bound *= norm**mult * Fraction(norm - 1, norm)
     return bound
 
@@ -204,11 +206,7 @@ def epsilon_form_holds(q, g, conductor_factors, constant, epsilon):
     constant, epsilon = Fraction(constant), Fraction(epsilon)
     if not 0 <= epsilon < 1:
         raise DomainError("epsilon must lie in [0, 1)")
-    if hasattr(conductor_factors, "coeffs"):
-        conductor_factors = [
-            (p.poly.norm, mult)
-            for p, mult in factor_monic(conductor_factors.monic())
-        ]
+    conductor_factors = _norm_pairs(conductor_factors)
     height = q**g
     for norm, mult in conductor_factors:
         height *= norm**mult

@@ -58,24 +58,23 @@ from .jsonio import canonical_dumps, envelope, render_table
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Run-wide knobs: base field size, budgets, output format, seed."""
+    """Run-wide knobs: base field size, budgets, output format."""
 
     q: int
     enum_budget: int
     prime_degree_budget: int
     grid: int
     fmt: str
-    seed: int
 
     @classmethod
-    def make(cls, q, enum_budget, prime_degree_budget, grid, fmt, seed):
+    def make(cls, q, enum_budget, prime_degree_budget, grid, fmt):
         if q < 3 or q % 2 == 0:
             raise DomainError("q must be an odd prime power >= 3")
         if enum_budget < 1 or prime_degree_budget < 1 or grid < 1:
             raise DomainError("budgets must be positive")
         if fmt not in ("json", "table"):
             raise DomainError(f"unknown output format {fmt!r}")
-        return cls(q, enum_budget, prime_degree_budget, grid, fmt, seed)
+        return cls(q, enum_budget, prime_degree_budget, grid, fmt)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -289,7 +288,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--q", type=int, default=3)
     common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET)
     common.add_argument(
         "--prime-degree-budget", type=int, default=DEFAULT_PRIME_DEGREE_BUDGET
@@ -417,7 +415,6 @@ def main(argv=None):
             ns.prime_degree_budget,
             ns.grid,
             ns.format,
-            ns.seed,
         )
         field = fq_from_q(cfg.q)
         result = ns.func(ns, cfg, field)

@@ -24,18 +24,25 @@ from .ffpoly import (
     DEFAULT_ENUM_BUDGET,
     Poly,
     factor_monic,
+    irreducibles,
     kdec,
     kenc,
+    kmonics,
+    kmul,
+    kscale,
+    monic_polys,
     parse_poly,
     quadratic_character,
 )
 from .quadfield import (
     FormClass,
+    ImagQuadField,
     QuadOrder,
     analyze_quadratic,
     class_group,
+    class_number_zeta,
     compose_raw,
-    order_class_number,
+    conductor_local_factor,
     principal_form,
     reduce_form,
     sqrtmod,
@@ -106,23 +113,37 @@ class CatalogueRow:
         return obj
 
 
-def _imaginary_radicands_of_genus(field, g):
-    """Squarefree imaginary radicands of genus g, one per square-scaling class.
+def _squarefree_monics(field, d):
+    """Monic squarefree polynomials of degree d in canonical order.
 
-    Ramified type (deg 2g+1) contributes monic m and c0*m for the
-    canonical non-square c0; inert type (deg 2g+2) contributes c0*m only,
-    since a square leading coefficient would make the field real.
+    A sieve: every P^2 c with P monic irreducible, 2 deg P <= d and c
+    monic of degree d - 2 deg P is struck out.
+    """
+    size = field.q**d
+    struck = bytearray(size)
+    for k in range(1, d // 2 + 1):
+        for P in irreducibles(field, k):
+            square = kmul(field, P.coeffs, P.coeffs)
+            for c in kmonics(field, d - 2 * k):
+                struck[kenc(field, kmul(field, square, c)) - size] = 1
+    return [Poly(field, kdec(field, size + lower)) for lower in range(size) if not struck[lower]]
+
+
+def _imaginary_radicands_of_genus(field, g):
+    """Fields K = k(sqrt m) of genus g, one radicand per square-scaling class.
+
+    Ramified type (deg 2g+1) contributes monic squarefree m and c0*m for
+    the canonical non-square c0; inert type (deg 2g+2) contributes c0*m
+    only, since a square leading coefficient would make the field real.
+    The sieve makes every m squarefree, so the fields need no further
+    validation.
     """
     c0 = field.canonical_nonsquare()
     out = []
-    for degree, scalings in ((2 * g + 1, (1, c0)), (2 * g + 2, (c0,))):
-        base = field.q**degree
-        for lower in range(base):
-            m = Poly(field, kdec(field, base + lower))
-            if not m.is_squarefree():
-                continue
+    for degree, scalings, kind in ((2 * g + 1, (1, c0), "ramified"), (2 * g + 2, (c0,), "inert")):
+        for m in _squarefree_monics(field, degree):
             for c in scalings:
-                out.append(m * c)
+                out.append(ImagQuadField(field, Poly(field, kscale(field, m.coeffs, c)), kind, g))
     return out
 
 
@@ -131,13 +152,14 @@ def enumerate_cm_points(field, bound, budget=DEFAULT_ENUM_BUDGET):
 
     Radicands are listed once per F_q^x-square scaling class; each row
     carries h = |Pic(R)| from the conductor formula, so the total number
-    of CM points of height < bound is the sum of the h column.
+    of CM points of height < bound is the sum of the h column.  h_K is
+    computed once per radicand and each conductor is factored once.
     """
     if bound < 1:
         raise DomainError("height bound must be >= 1")
     q = field.q
     rows = []
-    # q^g |f| < bound  =>  g + deg f <= level_max
+    # q^g |f| < bound  <=>  g + deg f <= level_max
     level_max = -1
     while q ** (level_max + 1) < bound:
         level_max += 1
@@ -151,17 +173,15 @@ def enumerate_cm_points(field, bound, budget=DEFAULT_ENUM_BUDGET):
             budget=budget,
         )
     for g in range(level_max + 1):
-        radicands = _imaginary_radicands_of_genus(field, g)
+        fields = [(K.m, class_number_zeta(K)) for K in _imaginary_radicands_of_genus(field, g)]
         for deg_f in range(level_max - g + 1):
-            base = q**deg_f
-            conductors = [Poly(field, kdec(field, base + lo)) for lo in range(base)]
-            for m in radicands:
-                K = analyze_quadratic(field, m)
-                for f in conductors:
-                    height = q**g * f.norm
-                    if height >= bound:
-                        continue
-                    h, _ = order_class_number(K, f)
+            height = q ** (g + deg_f)
+            conductors = [(f, factor_monic(f)) for f in monic_polys(field, deg_f)]
+            for m, h_K in fields:
+                for f, primes in conductors:
+                    h = h_K
+                    for p, mult in primes:
+                        h *= conductor_local_factor(m, p, mult)[1]
                     rows.append(CatalogueRow(m, f, g, h, height))
     rows.sort(key=CatalogueRow.sort_key)
     return rows
@@ -273,8 +293,6 @@ def galois_orbit(point, p, conjugate=False, max_steps=None):
 
 def find_split_prime(order, min_degree=1, budget_degree=8):
     """Code-smallest prime that splits in R and misses the conductor."""
-    from .ffpoly import irreducibles
-
     F = order.K.field
     for t in range(min_degree, budget_degree + 1):
         for p in irreducibles(F, t):

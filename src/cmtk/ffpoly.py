@@ -188,15 +188,15 @@ class FqSpec:
         return hash((FqSpec, self.p, self.e))
 
 
-def _canonical_primitive_modulus(p, e):
+def primitive_modulus(p, e):
     """Code-smallest monic primitive polynomial of degree e over F_p."""
     base = Fq(p)
     q = p**e
     order_primes = list(factor_int(q - 1))
     for lower in range(p**e):
         f = kdec(base, p**e + lower)
-        if not kis_irreducible(base, f):
-            continue
+        if f[0] == 0 or not kis_irreducible(base, f):
+            continue  # T must be a unit modulo f
         # primitive: T generates (F_p[T]/f)^* of order q-1
         x = (0, 1)
         if any(
@@ -223,7 +223,7 @@ def _fq_interned(p, e):
         raise DomainError(f"q = p^e must satisfy 1 <= e and q <= {MAX_Q}")
     if e == 1:
         return FqSpec(p, 1, None, None, None)
-    modulus = _canonical_primitive_modulus(p, e)
+    modulus = primitive_modulus(p, e)
     base = Fq(p)
     q = p**e
     exp = [0] * (q - 1)

@@ -12,7 +12,10 @@ Class groups are computed two independent ways:
 * the zeta / point-counting oracle: count affine points of y^2 = m(t)
   over F_{q^i} for i <= genus, assemble the numerator L(u) of the zeta
   function through Newton's identities and the functional equation, and
-  read off h = L(1);
+  read off h = L(1).  The counts run on discrete logarithms in
+  F_{q^i} = F_{p^(e i)}: Horner's rule evaluates m at every t at once,
+  multiplication adds logs, addition goes through a Zech-log table, and
+  m(t) is a square iff its log is even (tables built once per (q, i));
 
 * reduced binary forms (a, b) with b^2 = D mod a for the order radicand
   D = f^2 m, composed by the classical extended-gcd composition and
@@ -26,9 +29,11 @@ conductor formula h(R) = h_K |f| prod_{p | f} (1 - chi(p)/|p|).
 
 from __future__ import annotations
 
-import functools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add
 
 from .errors import BudgetError, DomainError, FieldRejected, UnsupportedPath
 from .ffpoly import (
@@ -36,7 +41,6 @@ from .ffpoly import (
     Poly,
     PrimePoly,
     factor_monic,
-    irreducibles,
     kadd,
     kdec,
     kdiv_exact,
@@ -50,6 +54,7 @@ from .ffpoly import (
     ksub,
     kxgcd,
     parse_poly,
+    primitive_modulus,
     quadratic_character,
 )
 
@@ -122,40 +127,111 @@ def analyze_quadratic(field, m):
 # ---------------------------------------------------------------------------
 # point-counting / zeta oracle
 
-_RING_SQUARES = {}
+_EXT_TABLES = {}
 
 
-def _ring_squares(field, w):
-    """Set of nonzero squares in F_q[T]/(w), as residue tuples."""
-    key = (field, w)
-    got = _RING_SQUARES.get(key)
-    if got is None:
-        d = len(w) - 1
-        got = frozenset(
-            kmod(field, kmul(field, r, r), w)
-            for r in (kdec(field, code) for code in range(1, field.q**d))
-        )
-        _RING_SQUARES[key] = got
+def _ext_tables(field, i):
+    """Zech-log tables of F_{q^i} = F_{p^n}, n = e i, cached per (field, i).
+
+    g is a root of the code-smallest primitive polynomial W of degree n
+    over F_p, and N = p^n - 1.  Elements are coded by the windows
+    (s_k, ..., s_{k+n-1}) of the linear recurring sequence with
+    characteristic polynomial W and first window (1, 0, ..., 0): g^k has
+    the k-th window as its base-p code, and the code is F_p-linear, so
+    adding 1 changes only the lowest digit.  Returns (N, zech, cls, clog):
+
+    * zech[x] = log_g(1 + g^x) for 0 <= x < 2N (x read mod N), or 2N
+      where 1 + g^x = 0; zech[x] = 0 on the block 2N <= x < 3N, so an
+      accumulator that is zero (log 2N) plus c comes out as c;
+    * cls[x] = zech[x] mod 2, or 2 where zech[x] = 2N;
+    * clog[c] = log_g of the F_q element with code c (None for 0), F_q
+      embedded through a root of field.modulus; any root gives the same
+      point counts, since the roots are Galois conjugate.
+    """
+    key = (field, i)
+    got = _EXT_TABLES.get(key)
+    if got is not None:
+        return got
+    p, n = field.p, field.e * i
+    N = p**n - 1
+    taps = [(j, (-c) % p) for j, c in enumerate(primitive_modulus(p, n)[:-1]) if c]
+    s = [1] + [0] * (n - 1)
+    for k in range(N):
+        s.append(sum(c * s[k + j] for j, c in taps) % p)
+    exp = array("i", bytes(4 * N))
+    log = array("i", bytes(4 * (N + 1)))
+    log[0] = 2 * N
+    code, top = 1, p ** (n - 1)
+    for k in range(N):
+        exp[k] = code
+        log[code] = k
+        code = code // p + s[k + n] * top
+    zech = array("i", [log[v - v % p + (v + 1) % p] for v in exp])
+    zech.extend(zech)
+    zech.extend(array("i", bytes(4 * N)))
+    cls = bytes(2 if z == 2 * N else z & 1 for z in zech)
+
+    def log_at(coeffs, x):
+        """log_g of sum_j c_j g^(j x) for codes c_j in F_p; None if the sum is 0."""
+        acc = None
+        for j, c in enumerate(coeffs):
+            if c:
+                term = (log[c] + j * x) % N
+                if acc is None:
+                    acc = term
+                else:
+                    z = zech[(term - acc) % N]
+                    acc = None if z == 2 * N else (acc + z) % N
+        return acc
+
+    root = 0  # log_g of the image of T, a root of field.modulus
+    if field.e > 1:
+        step = N // (field.q - 1)  # F_q^x is generated by g^step
+        root = next(b for b in range(step, N, step) if log_at(field.modulus, b) is None)
+    clog = [None] + [
+        log_at([(code // p**j) % p for j in range(field.e)], root) for code in range(1, field.q)
+    ]
+    got = (N, zech, cls, clog)
+    _EXT_TABLES[key] = got
     return got
 
 
+def _shifts(start, k, N):
+    """(start + k l) mod N for l = 0 .. N-1."""
+    start %= N
+    if k == 1:
+        return chain(range(start, N), range(start))
+    return map(N.__rmod__, range(start, start + k * N, k))
+
+
 def affine_point_count(K, i):
-    """Number of t in F_{q^i} weighted by solutions of y^2 = m(t)."""
-    F = K.field
-    w = irreducibles(F, i)[0].coeffs
-    squares = _ring_squares(F, w)
-    mc = K.m.coeffs
-    total = 0
-    for code in range(F.q**i):
-        t = kdec(F, code)
-        v = ()
-        for c in reversed(mc):
-            v = kmod(F, kadd(F, kmul(F, v, t), (c,)), w)
-        if not v:
-            total += 1
-        elif v in squares:
-            total += 2
-    return total
+    """Number of t in F_{q^i} weighted by solutions of y^2 = m(t).
+
+    Horner's rule for all t = g^l != 0 at once, in discrete logs (tables
+    from _ext_tables): if the accumulator is g^a and the next nonzero
+    coefficient c = g^L sits k degrees lower, the new accumulator is
+    a t^k + c = g^(L + zech[a + k l - L]).  Only the argument u of zech is
+    kept, one list entry per t: u' = zech[u] + (L - L' + k' l) mod N.
+    After the lowest nonzero coefficient, of degree k, m(t) is 0 where
+    zech[u] = 2N and otherwise has log L + k l + zech[u]; it is a square
+    iff that log is even.
+    """
+    N, zech, cls, clog = _ext_tables(K.field, i)
+    c0 = K.m.coeffs[0]
+    total = 1 if c0 == 0 else 2 - 2 * (clog[c0] & 1)  # t = 0
+    terms = [(j, clog[c]) for j, c in enumerate(K.m.coeffs) if c]
+    deg, L = terms.pop()
+    u = [2 * N] * N  # Horner starts from zero
+    for j, next_L in reversed(terms):
+        u = list(map(add, map(zech.__getitem__, u), _shifts(L - next_L, deg - j, N)))
+        deg, L = j, next_L
+    # m(g^l) has log L + deg l + zech[u_l]
+    kinds = bytes(map(cls.__getitem__, u))
+    if deg % 2 == 0:
+        squares = kinds.count(L & 1)
+    else:
+        squares = kinds[0::2].count(L & 1) + kinds[1::2].count(1 - (L & 1))
+    return total + kinds.count(2) + 2 * squares
 
 
 def point_count(K, i):
@@ -490,6 +566,12 @@ def class_group(order, budget=DEFAULT_ENUM_BUDGET):
     return ClassGroup(order, len(forms), "forms", forms)
 
 
+def conductor_local_factor(m, p, mult):
+    """(chi(p), |p|^(mult-1) (|p| - chi(p))) for p^mult || f: h(R) / h_K is their product."""
+    chi = quadratic_character(m, p)
+    return chi, p.norm ** (mult - 1) * (p.norm - chi)
+
+
 def order_class_number(K, conductor=None, budget=DEFAULT_ENUM_BUDGET):
     """Conductor formula h(R) = h_K |f| prod_{p|f} (1 - chi(p)/|p|).
 
@@ -510,8 +592,7 @@ def order_class_number(K, conductor=None, budget=DEFAULT_ENUM_BUDGET):
     }
     h = h_max
     for p, mult in factor_monic(order.conductor):
-        chi = quadratic_character(K.m, p)
-        local = p.norm ** (mult - 1) * (p.norm - chi)
+        chi, local = conductor_local_factor(K.m, p, mult)
         audit["local_factors"].append(
             {
                 "prime": p.text(),

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, envelope schema, determinism, config handling."""
 
+import hashlib
 import json
 
 import pytest
@@ -148,6 +149,20 @@ def test_byte_determinism(capsys):
         second = _run(argv, capsys)[1]
         assert first == second
         assert first.endswith("\n")
+
+
+# pinned catalogues: sha256 of the stdout of `cm-enumerate --q Q --bound B`
+CATALOGUE_DIGESTS = {
+    (3, 12): "58575024acef3d89050d2279d7b6ec0c4398d9ad554171f819c3f66984a86705",
+    (9, 10): "dea9f182462b41b146260a333e9d8b26ec77917a8bfcd243fd0af31bc689c97f",
+}
+
+
+@pytest.mark.parametrize("q, bound", sorted(CATALOGUE_DIGESTS))
+def test_catalogue_golden_digest(q, bound, capsys):
+    code, out, err = _run(["cm-enumerate", "--q", str(q), "--bound", str(bound)], capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == CATALOGUE_DIGESTS[(q, bound)]
 
 
 def test_config_file_and_override(tmp_path, capsys):

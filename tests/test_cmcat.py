@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from cmtk.errors import BudgetError, DomainError, NotSplitError, UnsupportedPath
 from cmtk.cmcat import (
     CMPoint,
+    _squarefree_monics,
     acting_ideal_form,
     catalogue_json,
     catalogue_total,
@@ -17,7 +18,7 @@ from cmtk.cmcat import (
     point_from_row,
     split_prime_form,
 )
-from cmtk.ffpoly import Fq, irreducibles, poly_from_text, quadratic_character
+from cmtk.ffpoly import Fq, fq_from_q, irreducibles, monic_polys, poly_from_text, quadratic_character
 from cmtk.quadfield import (
     QuadOrder,
     analyze_quadratic,
@@ -108,6 +109,13 @@ def test_catalogue_json_shape():
 def test_catalogue_budget():
     with pytest.raises(BudgetError):
         enumerate_cm_points(F3, 3**9, budget=1000)
+
+
+@pytest.mark.parametrize("q, max_degree", [(3, 6), (9, 3)])
+def test_squarefree_sieve_matches_gcd_test(q, max_degree):
+    F = fq_from_q(q)
+    for d in range(max_degree + 1):
+        assert _squarefree_monics(F, d) == [m for m in monic_polys(F, d) if m.is_squarefree()]
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,30 @@
 """Quadratic fields: rejection taxonomy, zeta oracle vs forms, Eq-style formula."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cmtk.errors import BudgetError, FieldRejected, UnsupportedPath
-from cmtk.ffpoly import Fq, Poly, kdec, poly_from_text, quadratic_character
+from cmtk.ffpoly import (
+    Fq,
+    Poly,
+    fq_from_q,
+    irreducibles,
+    kadd,
+    kdec,
+    kmod,
+    kmul,
+    poly_from_text,
+    quadratic_character,
+)
 from cmtk.quadfield import (
     ClassGroup,
     FormClass,
     QuadOrder,
+    affine_point_count,
     analyze_quadratic,
     class_group,
     class_number_zeta,
@@ -127,6 +140,62 @@ def test_zeta_functional_equation_and_weil_bound():
         h = sum(a)
         # Weil interval: (sqrt(q)-1)^{2g} <= h <= (sqrt(q)+1)^{2g}
         assert (q**0.5 - 1) ** (2 * g) <= h <= (q**0.5 + 1) ** (2 * g) + 1e-9
+
+
+def _tuple_affine_point_counts(fields, i):
+    """Brute-force oracle: y^2 = m(t) over F_q[T]/(w), w the first irreducible of degree i.
+
+    Residues are coefficient tuples, arithmetic is kmul/kadd/kmod, and
+    squares are looked up in the set of all nonzero residues squared.
+    """
+    F = fields[0].field
+    w = irreducibles(F, i)[0].coeffs
+    squares = {kmod(F, kmul(F, r, r), w) for r in (kdec(F, c) for c in range(1, F.q**i))}
+    counts = []
+    for K in fields:
+        total = 0
+        for code in range(F.q**i):
+            t = kdec(F, code)
+            v = ()
+            for c in reversed(K.m.coeffs):
+                v = kmod(F, kadd(F, kmul(F, v, t), (c,)), w)
+            if not v:
+                total += 1
+            elif v in squares:
+                total += 2
+        counts.append(total)
+    return counts
+
+
+def _oracle_fields(q, per_type):
+    """Seeded ramified and inert fields of degree <= 4, and one monomial.
+
+    For q > p every radicand has a coefficient outside F_p.
+    """
+    F = fq_from_q(q)
+    rng = random.Random(q)
+    fields = {"ramified": [], "inert": []}
+    while min(len(v) for v in fields.values()) < per_type:
+        degree = rng.randrange(1, 5)
+        coeffs = tuple(rng.randrange(q) for _ in range(degree)) + (rng.randrange(1, q),)
+        if q > F.p and max(coeffs) < F.p:
+            continue
+        try:
+            K = analyze_quadratic(F, Poly(F, coeffs))
+        except FieldRejected:
+            continue
+        if len(fields[K.infinity_type]) < per_type and K not in fields[K.infinity_type]:
+            fields[K.infinity_type].append(K)
+    monomial = analyze_quadratic(F, Poly(F, (0, q - 1)))  # m(t) = c t needs no addition
+    return fields["ramified"] + fields["inert"] + [monomial]
+
+
+@pytest.mark.parametrize("q, per_type", [(3, 8), (5, 6), (9, 4), (25, 2)])
+def test_affine_point_count_matches_tuple_oracle(q, per_type):
+    fields = _oracle_fields(q, per_type)
+    for i in (1, 2, 3):
+        expected = _tuple_affine_point_counts(fields, i)
+        assert [affine_point_count(K, i) for K in fields] == expected, i
 
 
 def test_zeta_budget():

@@ -12,6 +12,10 @@ The engine has four moving parts:
 * the ladder of d-1 prime degrees t_1 < ... < t_{d-1} whose growth
   condition drives the induction on deg(Y).
 
+Every split-prime supply condition is a call to
+splitcount.supply_lower_bound, the one place the Chebotarev bound
+q^t/(n t) - 4(g + 2) q^{t/2} is written.
+
 Everything is exact: inequalities are evaluated over Fraction and
 recorded with both sides as strings, so a certificate can be re-audited
 from its own JSON.  Every recorded inequality is strict; integer floor
@@ -32,7 +36,6 @@ from . import SCHEMA_VERSION
 from .errors import BudgetError, DomainError
 from .ffpoly import (
     DEFAULT_ENUM_BUDGET,
-    PrimePoly,
     factor_monic,
     irreducible_count,
     irreducibles,
@@ -40,7 +43,7 @@ from .ffpoly import (
 )
 from .cmcat import CMPoint
 from .quadfield import hK_lower_bound, order_class_number
-from .splitcount import PINNED_C1, PINNED_C2, PINNED_C3, castelnuovo_bound
+from .splitcount import compositum_genus_bound, pi_lower_bound_genera, supply_lower_bound
 
 DEFAULT_PRIME_DEGREE_BUDGET = 12
 DEFAULT_HEIGHT_GRID = 2**40
@@ -150,24 +153,15 @@ class CurveHypothesis:
         return max(13, self.d)
 
 
-def _norm_pairs(conductor_factors):
-    """(norm, multiplicity) per distinct prime of a conductor polynomial; pairs pass through."""
-    if hasattr(conductor_factors, "coeffs"):
-        return [(p.poly.norm, mult) for p, mult in factor_monic(conductor_factors.monic())]
-    return conductor_factors
-
-
-def pic_lower_bound(q, g, conductor_factors):
+def pic_lower_bound(q, g, conductor):
     """hK_lower_bound * |f| * prod over distinct primes p | f of (1 - 1/|p|).
 
-    conductor_factors is a list of (norm, multiplicity) pairs over the
-    distinct primes, or a monic conductor polynomial to be factored.
-    Always a valid lower bound for the class number of the order,
-    whatever the characters chi(p) are.
+    Always a valid lower bound for the class number of the order of
+    conductor f, whatever the characters chi(p) are.
     """
     bound = hK_lower_bound(q, g)
-    for norm, mult in _norm_pairs(conductor_factors):
-        bound *= norm**mult * Fraction(norm - 1, norm)
+    for p, mult in factor_monic(conductor.monic()):
+        bound *= p.norm**mult * Fraction(p.norm - 1, p.norm)
     return bound
 
 
@@ -194,25 +188,6 @@ def worst_unit_product(q, deg_f):
 def pic_lower_bound_worst(q, g, deg_f):
     """pic_lower_bound minimized over all conductor shapes of a degree."""
     return hK_lower_bound(q, g) * q**deg_f * worst_unit_product(q, deg_f)
-
-
-def epsilon_form_holds(q, g, conductor_factors, constant, epsilon):
-    """Exact check of constant * H^(1-epsilon) <= pic_lower_bound.
-
-    H = q^g |f| is the height of the order.  epsilon is a Fraction in
-    [0, 1); the comparison is done on epsilon.denominator-th powers so
-    no real roots are ever taken.
-    """
-    constant, epsilon = Fraction(constant), Fraction(epsilon)
-    if not 0 <= epsilon < 1:
-        raise DomainError("epsilon must lie in [0, 1)")
-    conductor_factors = _norm_pairs(conductor_factors)
-    height = q**g
-    for norm, mult in conductor_factors:
-        height *= norm**mult
-    b = epsilon.denominator
-    lhs = constant**b * Fraction(height) ** (b - epsilon.numerator)
-    return lhs <= pic_lower_bound(q, g, conductor_factors) ** b
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +244,11 @@ def find_admissible_prime(
     )
 
 
+def _improper_threshold(norm, d):
+    """4 (|p|+1)^2 d^2: a class number above it forces an improper intersection."""
+    return 4 * (norm + 1) ** 2 * d**2
+
+
 @dataclass(frozen=True)
 class ImproperCheck:
     """The per-coordinate class-number inequalities at a chosen prime."""
@@ -287,8 +267,7 @@ class ImproperCheck:
 
 def check_improper(prime, hyp, pic_sizes):
     """|Pic(R_i)| / F_deg > 4 (|p|+1)^2 d^2 for some coordinate i."""
-    norm = prime.poly.norm
-    rhs = 4 * (norm + 1) ** 2 * hyp.d**2
+    rhs = _improper_threshold(prime.poly.norm, hyp.d)
     ineqs = tuple(
         Inequality.check(
             f"improper_intersection_{i}", Fraction(pic, hyp.F_deg), rhs
@@ -368,11 +347,11 @@ def _config_witness(q, d, F_deg, g, deg_f, level, t_budget):
 
     The partner coordinate is adversarial: subject to height at most
     q^level it maximizes the density-window burden, which puts all of
-    its height into genus (coefficient C2 q^{t/2} per genus unit beats
+    its height into genus (coefficient 8 q^{t/2} per genus unit beats
     1 per conductor-degree unit).  Conditions:
 
       (A)  q^t >= max(13, d)
-      (B)  C1 q^t/t - (C2 (g + level) + C3) q^{t/2}  >  deg_f
+      (B)  pi_lower_bound_genera(q, g, level, t)  >  deg_f
       (C)  pic_lower_bound_worst(q, g, deg_f) / F_deg > 4 (q^t + 1)^2 d^2
 
     Returns (t, None) on success, else (None, diagnosis).
@@ -384,14 +363,11 @@ def _config_witness(q, d, F_deg, g, deg_f, level, t_budget):
         qt = q**t
         if qt < floor:
             continue
-        supply = PINNED_C1 * Fraction(qt, t) - (
-            PINNED_C2 * (g + level) + PINNED_C3
-        ) * q ** (t // 2)
-        if supply <= deg_f:
+        if pi_lower_bound_genera(q, g, level, t) <= deg_f:
             continue
         if first_ab is None:
             first_ab = t
-        if pic > 4 * (qt + 1) ** 2 * d**2:
+        if pic > _improper_threshold(qt, d):
             return t, None
     if first_ab is None:
         return None, {"failed": "split_prime_supply", "t_budget": t_budget}
@@ -467,15 +443,6 @@ def minimal_height_bound(
 # the Step-3 ladder
 
 
-def _multi_field_pi_bound(q, genera, t):
-    """Split-prime supply bound for the compositum of several quadratics."""
-    g_bound, deg = 0, 1
-    for g in genera:
-        g_bound = castelnuovo_bound(g_bound, deg, g, 2)
-        deg *= 2
-    return Fraction(q**t, deg * t) - 4 * (g_bound + 2) * q ** (t // 2), g_bound
-
-
 def step3_ladder(
     d,
     n,
@@ -507,7 +474,7 @@ def step3_ladder(
         raise DomainError("need exactly one (genus, conductor) per coordinate")
     field = heights[0][1].field
     q = field.q
-    genera = [g for g, _ in heights]
+    g_bound, deg = compositum_genus_bound(g for g, _ in heights)
     conductor_deg = sum(f.degree for _, f in heights)
     ineqs = []
     ladder = []
@@ -527,13 +494,12 @@ def step3_ladder(
         for t in range(t_lo, t_budget + 1, 2):
             if q**t <= growth_rhs:
                 continue
-            supply, g_bound = _multi_field_pi_bound(q, genera, t)
-            if supply > conductor_deg:
+            if supply_lower_bound(q, deg, g_bound, t) > conductor_deg:
                 chosen = t
                 break
         if chosen is None:
             t = t_budget if t_budget % 2 == 0 else t_budget - 1
-            supply, g_bound = _multi_field_pi_bound(q, genera, t)
+            supply = supply_lower_bound(q, deg, g_bound, t)
             failing = name if q**t <= growth_rhs else f"split_prime_supply_{j}"
             ineqs.append(
                 Inequality.check(name, q**t, growth_rhs)
@@ -553,7 +519,7 @@ def step3_ladder(
             )
         ladder.append(chosen)
         ineqs.append(Inequality.check(name, q**chosen, growth_rhs))
-        supply, g_bound = _multi_field_pi_bound(q, genera, chosen)
+        supply = supply_lower_bound(q, deg, g_bound, chosen)
         ineqs.append(
             Inequality.check(f"split_prime_supply_{j}", supply, conductor_deg)
         )
@@ -573,8 +539,8 @@ def step3_ladder(
         "n": n,
         "degY": degY,
         "F_deg": F_deg,
-        "compositum_genus_bound": _multi_field_pi_bound(q, genera, 2)[1],
-        "C1": str(Fraction(1, 2 ** len(genera))),
+        "compositum_genus_bound": g_bound,
+        "C1": str(Fraction(1, deg)),
     }
     if verdict == "inconclusive":
         constants["first_failing"] = next(

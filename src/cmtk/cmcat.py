@@ -19,27 +19,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetError, DomainError, FieldRejected, NotSplitError, UnsupportedPath
+from .errors import BudgetError, DomainError, NotSplitError, UnsupportedPath
 from .ffpoly import (
     DEFAULT_ENUM_BUDGET,
     Poly,
+    as_prime,
     factor_monic,
     irreducibles,
     kdec,
+    jacobi_symbol,
     kenc,
     kmonics,
     kmul,
     kscale,
     monic_polys,
     parse_poly,
-    quadratic_character,
 )
 from .quadfield import (
     FormClass,
     ImagQuadField,
     QuadOrder,
     analyze_quadratic,
-    class_group,
     class_number_zeta,
     compose_raw,
     conductor_local_factor,
@@ -212,16 +212,17 @@ def split_prime_form(order, p, conjugate=False):
 
     Requires chi(m, p) = +1 and p coprime to the conductor; of the two
     square roots of D modulo p the canonically smaller one is chosen
-    (the other via conjugate=True).
+    (the other via conjugate=True).  A PrimePoly is taken as already
+    certified; anything else is tested for irreducibility once.
     """
     F = order.K.field
-    p = parse_poly(F, p) if not isinstance(p, Poly) else p
-    chi = quadratic_character(order.K.m, p)
+    p = as_prime(F, p)
+    chi = jacobi_symbol(order.K.m, p)
     if chi != 1:
         raise NotSplitError(
             f"prime {p.text()} has character {chi}, not split", prime=p.text()
         )
-    if (order.conductor % p).is_zero:
+    if (order.conductor % p.poly).is_zero:
         raise NotSplitError(
             f"prime {p.text()} divides the conductor", prime=p.text()
         )
@@ -229,7 +230,7 @@ def split_prime_form(order, p, conjugate=False):
     if len(roots) != 2:
         raise AssertionError("split prime must carry exactly two roots")
     b = roots[1] if conjugate else roots[0]
-    return FormClass(order, p, Poly(F, b))
+    return FormClass(order, p.poly, Poly(F, b))
 
 
 def acting_ideal_form(order, n, conjugate=False):
@@ -247,7 +248,7 @@ def acting_ideal_form(order, n, conjugate=False):
         return principal_form(order)
     result = None
     for p, mult in factor_monic(n):
-        prime_form = split_prime_form(order, p.poly, conjugate)
+        prime_form = split_prime_form(order, p, conjugate)
         for _ in range(mult):
             result = prime_form if result is None else compose_raw(result, prime_form)
     if result.a != n:
@@ -255,30 +256,35 @@ def acting_ideal_form(order, n, conjugate=False):
     return result
 
 
-def galois_isogeny_step(point, n, conjugate=False):
-    """Apply the Frobenius attached to n: compose with [N]^-1 and reduce."""
-    if point.order.K.infinity_type != "ramified":
+def _acting_inverse(order, n, conjugate):
+    """Reduced [N]^-1 for the canonical ideal N above n (forms path only)."""
+    if order.K.infinity_type != "ramified":
         raise UnsupportedPath(
             "the class-group action needs the forms path (ramified radicand)"
         )
-    ideal = acting_ideal_form(point.order, n, conjugate)
-    stepped = reduce_form(compose_raw(point.cls, reduce_form(ideal).inverse()))
-    return CMPoint(point.order, stepped)
+    return reduce_form(acting_ideal_form(order, n, conjugate)).inverse()
+
+
+def galois_isogeny_step(point, n, conjugate=False):
+    """Apply the Frobenius attached to n: compose with [N]^-1 and reduce."""
+    inverse = _acting_inverse(point.order, n, conjugate)
+    return CMPoint(point.order, reduce_form(compose_raw(point.cls, inverse)))
 
 
 def galois_orbit(point, p, conjugate=False, max_steps=None):
     """Orbit of a point under repeated sigma_p; returns (points, cycle length).
 
-    The cycle length is the multiplicative order of [P] in Pic(R).
+    The cycle length is the multiplicative order of [P] in Pic(R).  The
+    acting ideal is built once; every step is one compose and reduce.
     """
-    F = point.order.K.field
-    p = parse_poly(F, p) if not isinstance(p, Poly) else p
+    order = point.order
+    inverse = _acting_inverse(order, p, conjugate)
     start_key = (reduce_form(point.cls) if not point.cls.is_reduced else point.cls).key()
     orbit = [point]
     cur = point
     steps = 0
     while True:
-        cur = galois_isogeny_step(cur, p, conjugate)
+        cur = CMPoint(order, reduce_form(compose_raw(cur.cls, inverse)))
         steps += 1
         if cur.cls.key() == start_key:
             return orbit, steps
@@ -296,7 +302,7 @@ def find_split_prime(order, min_degree=1, budget_degree=8):
     F = order.K.field
     for t in range(min_degree, budget_degree + 1):
         for p in irreducibles(F, t):
-            if quadratic_character(order.K.m, p) != 1:
+            if jacobi_symbol(order.K.m, p) != 1:
                 continue
             if (order.conductor % p.poly).is_zero:
                 continue

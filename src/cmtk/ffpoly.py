@@ -166,12 +166,6 @@ class FqSpec:
                 return c
         raise AssertionError("odd q must have a non-square")
 
-    def elements(self):
-        return range(self.q)
-
-    def units(self):
-        return range(1, self.q)
-
     def json_obj(self):
         obj = {"p": self.p, "e": self.e, "q": self.q}
         if self.modulus is not None:
@@ -467,11 +461,6 @@ def kderiv(F, a):
             acc = F.add(acc, c)
         out.append(acc)
     return ktrim(out)
-
-
-def kmonic_by_code(F, d, lower):
-    """Monic polynomial of degree d with lower-coefficient code `lower`."""
-    return kdec(F, F.q**d + lower)
 
 
 def kmonics(F, d):

@@ -19,17 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetError, DomainError, FieldRejected, NotSplitError
+from .errors import DomainError, FieldRejected, NotSplitError
 from .ffpoly import (
     DEFAULT_ENUM_BUDGET,
     Poly,
-    PrimePoly,
     as_prime,
     factor_monic,
     irreducibles,
+    jacobi_symbol,
     kdec,
     parse_poly,
-    quadratic_character,
 )
 from .quadfield import QuadOrder, analyze_quadratic, order_class_number
 from .cmcat import acting_ideal_form
@@ -50,7 +49,7 @@ class HeegnerSearchSpec:
         if n.is_zero or not n.is_monic:
             raise DomainError("the level must be monic and nonzero")
         if p is not None:
-            p = p if isinstance(p, PrimePoly) else as_prime(field, parse_poly(field, p))
+            p = as_prime(field, p)
             if require_coprime and (n % p.poly).is_zero:
                 raise DomainError(
                     f"tower prime {p.poly.text()} divides the level {n.text()}"
@@ -87,7 +86,7 @@ def heegner_field_json(K, spec):
         "m": K.m.text(),
         "genus": K.genus,
         "checks": [
-            {"prime": p.poly.text(), "chi": quadratic_character(K.m, p)}
+            {"prime": p.poly.text(), "chi": jacobi_symbol(K.m, p)}
             for p in spec.level_primes()
         ],
     }
@@ -98,7 +97,7 @@ def _passes(field, m, level_primes):
         K = analyze_quadratic(field, m)
     except FieldRejected:
         return None
-    if all(quadratic_character(m, p) == 1 for p in level_primes):
+    if all(jacobi_symbol(m, p) == 1 for p in level_primes):
         return K
     return None
 
@@ -163,14 +162,14 @@ def order_tower(K, p, n, levels, budget=DEFAULT_ENUM_BUDGET):
     the ideal survives at every level.
     """
     field = K.field
-    p = p if isinstance(p, PrimePoly) else as_prime(field, parse_poly(field, p))
+    p = as_prime(field, p)
     n = parse_poly(field, n)
     if n.is_zero or not n.is_monic:
         raise DomainError("the level must be monic and nonzero")
     if levels < 0:
         raise DomainError("levels must be >= 0")
     for q_prime, _ in factor_monic(n):
-        if quadratic_character(K.m, q_prime) != 1:
+        if jacobi_symbol(K.m, q_prime) != 1:
             raise NotSplitError(
                 f"Heegner hypothesis fails: {q_prime.poly.text()} does not "
                 f"split in k(sqrt {K.m.text()})",

@@ -39,12 +39,11 @@ from .errors import BudgetError, DomainError, FieldRejected, UnsupportedPath
 from .ffpoly import (
     DEFAULT_ENUM_BUDGET,
     Poly,
-    PrimePoly,
     factor_monic,
+    jacobi_symbol,
     kadd,
     kdec,
     kdiv_exact,
-    kdivmod,
     kenc,
     kgcd,
     kmod,
@@ -55,7 +54,6 @@ from .ffpoly import (
     kxgcd,
     parse_poly,
     primitive_modulus,
-    quadratic_character,
 )
 
 # ---------------------------------------------------------------------------
@@ -70,10 +68,6 @@ class ImagQuadField:
     m: Poly
     infinity_type: str  # "ramified" | "inert"
     genus: int
-
-    @property
-    def constant_field_degree(self):
-        return 1  # constant extensions are rejected at construction
 
     def json_obj(self):
         return {
@@ -390,10 +384,6 @@ class FormClass:
     def is_reduced(self):
         return self.a.degree <= self.order.genus_parameter
 
-    @property
-    def is_principal_rep(self):
-        return self.a.degree == 0
-
     def inverse(self):
         F = self.order.K.field
         return FormClass(self.order, self.a, Poly(F, kmod(F, kneg(F, self.b.coeffs), self.a.coeffs)))
@@ -568,7 +558,7 @@ def class_group(order, budget=DEFAULT_ENUM_BUDGET):
 
 def conductor_local_factor(m, p, mult):
     """(chi(p), |p|^(mult-1) (|p| - chi(p))) for p^mult || f: h(R) / h_K is their product."""
-    chi = quadratic_character(m, p)
+    chi = jacobi_symbol(m, p)
     return chi, p.norm ** (mult - 1) * (p.norm - chi)
 
 

@@ -11,7 +11,9 @@ The effective density statement: for n_c | t, the exact count pi_M(t)
 differs from q^t/(n_g t) by less than 4(g_M + 2) q^{t/2} (the base
 k = F_q(T) has e = 1, g_k = 0).  For odd t the radius is irrational, so
 window membership is decided by comparing squares; every emitted value
-is an exact integer or rational.
+is an exact integer or rational.  The lower end of that window at even
+t, q^t/(n t) - 4(g + 2) q^{t/2}, is written once, in supply_lower_bound;
+every split-prime supply bound here and in certify is a call to it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from math import isqrt
 from .errors import DomainError
 from .ffpoly import (
     DEFAULT_ENUM_BUDGET,
-    Poly,
     factor_monic,
     irreducibles,
     jacobi_symbol,
@@ -41,6 +42,30 @@ def castelnuovo_bound(g1, n1, g2, n2):
     if n1 < 1 or n2 < 1 or g1 < 0 or g2 < 0:
         raise DomainError("degrees must be >= 1 and genera >= 0")
     return n2 * g1 + n1 * g2 + (n1 - 1) * (n2 - 1)
+
+
+def compositum_genus_bound(genera):
+    """(g_bound, 2^r) for the compositum of r quadratics of the given genera.
+
+    g_bound iterates castelnuovo_bound one quadratic at a time; 2^r is
+    the degree the iteration assumes (linear disjointness).
+    """
+    g_bound, deg = 0, 1
+    for g in genera:
+        g_bound = castelnuovo_bound(g_bound, deg, g, 2)
+        deg *= 2
+    return g_bound, deg
+
+
+def supply_lower_bound(q, n, g_bound, t):
+    """Split-prime supply bound q^t/(n t) - 4(g_bound + 2) q^{t/2}, even t >= 2.
+
+    The lower end of the density window for a field of (geometric)
+    degree n over k whose genus is at most g_bound.
+    """
+    if t < 2 or t % 2:
+        raise DomainError("the lower bound is used at even t >= 2 only")
+    return Fraction(q**t, n * t) - 4 * (g_bound + 2) * q ** (t // 2)
 
 
 def _square_class(m):
@@ -65,7 +90,7 @@ class SplittingSpec:
     @classmethod
     def make(cls, field, radicands):
         polys = tuple(parse_poly(field, m) for m in radicands)
-        analyzed = [analyze_quadratic(field, m) for m in polys]
+        g_bound, _ = compositum_genus_bound(analyze_quadratic(field, m).genus for m in polys)
         # span of the square classes inside k^x / (k^x)^2
         span = {(frozenset(), False)}
         for m in polys:
@@ -75,10 +100,6 @@ class SplittingSpec:
             }
         n = len(span)
         n_c = 2 if (frozenset(), True) in span else 1
-        g_bound, deg = 0, 1
-        for K in analyzed:
-            g_bound = castelnuovo_bound(g_bound, deg, K.genus, 2)
-            deg *= 2
         return cls(field, polys, n_c, n // n_c, g_bound)
 
     @property
@@ -155,32 +176,19 @@ def cebotarev_window(spec, t):
     return DensityWindow(t, center, Fraction(coeff * coeff * q**t))
 
 
-PINNED_C1 = Fraction(1, 4)
-PINNED_C2 = 8
-PINNED_C3 = 12
-
-
 def pi_lower_bound(spec, t):
     """Exact lower bound q^t/(n_g t) - 4(g_M_bound + 2) q^{t/2}, even t."""
-    if t % 2:
-        raise DomainError("the lower bound is used at even t only")
-    w = cebotarev_window(spec, t)
-    return w.center - 4 * (spec.genus_bound + 2) * spec.field.q ** (t // 2)
+    return supply_lower_bound(spec.field.q, spec.n_g, spec.genus_bound, t)
 
 
 def pi_lower_bound_genera(q, g1, g2, t):
-    """Two-quadratic worst-case bound with pinned constants C1, C2, C3.
+    """Two-quadratic worst-case bound (q^t/t)/4 - (8 (g1 + g2) + 12) q^{t/2}.
 
-    C1 = 1/4 (geometric degree at most 4), C2 = 8 and C3 = 12 come from
-    the window radius with e = 1, g_k = 0 and the Castelnuovo bound
-    g_M <= 2 g1 + 2 g2 + 1; valid for any compositum of two imaginary
-    quadratic fields of genera g1, g2.  Even t only.
+    supply_lower_bound at geometric degree at most 4 and the Castelnuovo
+    bound g_M <= 2 g1 + 2 g2 + 1; valid for any compositum of two
+    imaginary quadratic fields of genera g1, g2.  Even t only.
     """
-    if t % 2:
-        raise DomainError("the lower bound is used at even t only")
-    return PINNED_C1 * Fraction(q**t, t) - (
-        PINNED_C2 * (g1 + g2) + PINNED_C3
-    ) * q ** (t // 2)
+    return supply_lower_bound(q, 4, compositum_genus_bound((g1, g2))[0], t)
 
 
 def split_audit(spec, t, budget=DEFAULT_ENUM_BUDGET):
@@ -198,8 +206,9 @@ def split_audit(spec, t, budget=DEFAULT_ENUM_BUDGET):
         obj["lower_bound"] = str(pi_lower_bound(spec, t))
     obj["constants"] = {
         "C1": str(Fraction(1, spec.n_g)),
-        "C2": str(PINNED_C2),
-        "C3": str(PINNED_C3),
+        # coefficients of pi_lower_bound_genera: 4 (g_M + 2) = 8 (g1 + g2) + 12
+        "C2": "8",
+        "C3": "12",
         "g_M_bound": spec.genus_bound,
     }
     return obj

@@ -23,7 +23,6 @@ from fractions import Fraction
 from .errors import BudgetError, DomainError
 from .ffpoly import (
     Poly,
-    PrimePoly,
     factor_monic,
     kadd,
     kdec,
@@ -47,11 +46,6 @@ class RegularTree:
     def __post_init__(self):
         if self.arity < 3:
             raise DomainError("regular tree needs arity >= 3")
-
-    @classmethod
-    def for_prime_norm(cls, norm):
-        """The (|p|+1)-regular tree attached to a prime of norm |p|."""
-        return cls(norm + 1)
 
     # -- addresses -----------------------------------------------------------
 
@@ -197,10 +191,6 @@ class SpecialTriple:
 
     def json_obj(self):
         return [self.n1.text(), self.n2.text(), self.n3.text()]
-
-
-def triple_project(triple, i, j):
-    return triple.project(i, j)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from cmtk.certify import (
     Inequality,
     certify_point,
     check_improper,
-    epsilon_form_holds,
     find_admissible_prime,
     minimal_height_bound,
     pic_lower_bound,
@@ -209,19 +208,6 @@ def test_pic_lower_bound_below_true_class_numbers():
         )
 
 
-def test_epsilon_form_comparison():
-    f = parse_poly(F3, "T^2+T")
-    assert epsilon_form_holds(3, 1, f, Fraction(1, 10), Fraction(1, 2))
-    assert not epsilon_form_holds(3, 1, f, Fraction(100), Fraction(1, 2))
-    # epsilon = 0 degenerates to C * H <= PicLB
-    height = 3 * 9
-    lb = pic_lower_bound(3, 1, f)
-    assert epsilon_form_holds(3, 1, f, Fraction(lb, height), 0)
-    assert not epsilon_form_holds(3, 1, f, Fraction(lb, height) * 2, 0)
-    with pytest.raises(DomainError):
-        epsilon_form_holds(3, 1, f, 1, 1)
-
-
 def test_minimal_height_bound_default_grid_fails_loudly():
     with pytest.raises(BudgetError) as exc:
         minimal_height_bound(1, 1, 3)
@@ -264,6 +250,8 @@ def test_step3_preconditions():
         step3_ladder(2, 2, 1, 1, [(0, ONE)])
     with pytest.raises(DomainError):
         step3_ladder(2, 2, 1, 1, [])
+    with pytest.raises(DomainError):  # no even t >= 2 within the budget
+        step3_ladder(2, 2, 1, 1, [(0, ONE), (0, ONE)], t_budget=1)
 
 
 def test_step3_d2_single_prime_system():

@@ -1,7 +1,9 @@
 """CLI surface: exit codes, envelope schema, determinism, config handling."""
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 from jsonschema import validate
@@ -163,6 +165,39 @@ def test_catalogue_golden_digest(q, bound, capsys):
     code, out, err = _run(["cm-enumerate", "--q", str(q), "--bound", str(bound)], capsys)
     assert code == 0, err
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == CATALOGUE_DIGESTS[(q, bound)]
+
+
+def _artifacts():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "build_artifacts.py"
+    spec = importlib.util.spec_from_file_location("build_artifacts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.ARTIFACTS)
+
+
+# sha256 of every file scripts/build_artifacts.py writes
+ARTIFACT_DIGESTS = {
+    "catalogue_q3_B12.json": "58575024acef3d89050d2279d7b6ec0c4398d9ad554171f819c3f66984a86705",
+    "certificate_point0.json": "85171af30e2959ca272cc48308c04dbdb853839a4be75410e170074e6fb1bace",
+    "classgroup_q3_reps.json": "463c48e4645a8bf1f34540bfb980ee5c05b6ea4bb87bc452dd10e28251aa4bd8",
+    "classgroup_q5_conductor.json": "2c367c20ae53b75f02ea6a4f84a826aee8824c56bfd2a8a35617893b481c82a2",
+    "factor_q3.json": "c9fc3d116179fb38bb3e1c41df2eb13366a612e7c16960c7d398b1fd25402ee5",
+    "hecke_T2_covering.json": "f6037f404faf4df3ffc2dd887e8eece26fbb1e13eaa72f7859dc0ed54035472f",
+    "heegner_tower_T.json": "d5c8fa42c4419822c6ff386b00da40cb3a3c68b9f026e1fe3d31998e67926c03",
+    "height_bound_q3.json": "1a002eecd86f775982117d043d1e4f3118c808acc53cd3d09dd89a5cafc292a9",
+    "orbit_q3_conductor_T.json": "8e3d82107ce738b385e258e0c8a95da64be05982f512f2d7e3b32c352875e3f8",
+    "split_audit_q3_t4.json": "25a09c1d712f8e12cdeb3b07fc8b1c5736f5c6ad874bc3e047952d6c03632016",
+    "tree_median.json": "64217c42d0e223bc33b86b2dca05c27cdec35e2b8a7081768013514579c64c16",
+}
+
+
+def test_artifact_golden_digests(capsys):
+    artifacts = _artifacts()
+    assert sorted(artifacts) == sorted(ARTIFACT_DIGESTS)
+    for name, argv in artifacts.items():
+        code, out, err = _run(argv, capsys)
+        assert code == 0, (name, err)
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == ARTIFACT_DIGESTS[name], name
 
 
 def test_config_file_and_override(tmp_path, capsys):

@@ -18,7 +18,15 @@ from cmtk.cmcat import (
     point_from_row,
     split_prime_form,
 )
-from cmtk.ffpoly import Fq, fq_from_q, irreducibles, monic_polys, poly_from_text, quadratic_character
+from cmtk.ffpoly import (
+    Fq,
+    fq_from_q,
+    irreducibles,
+    jacobi_symbol,
+    monic_polys,
+    poly_from_text,
+    quadratic_character,
+)
 from cmtk.quadfield import (
     QuadOrder,
     analyze_quadratic,
@@ -144,6 +152,17 @@ def test_split_prime_rejections():
         split_prime_form(point2.order, poly_from_text(F3, "T+2"))
 
 
+def test_split_prime_form_rejects_composite_with_jacobi_one():
+    # (T^2+1)(T^2+T+2): both factors are inert for m, so the Jacobi
+    # symbol is +1 although p is not prime
+    point = _point("T^3+2*T+1", "1")
+    p = poly_from_text(F3, "T^4+T^3+T+2")
+    assert jacobi_symbol(point.order.K.m, p) == 1
+    with pytest.raises(DomainError) as exc:
+        split_prime_form(point.order, p)
+    assert exc.type is DomainError
+
+
 def test_acting_ideal_norm_bookkeeping():
     point = _point("T", "T+1")
     p = poly_from_text(F3, "T+2")
@@ -218,6 +237,35 @@ def test_inert_action_unsupported():
     point = CMPoint(order, principal_form(order))
     with pytest.raises(UnsupportedPath):
         galois_isogeny_step(point, "T+1")
+
+
+def test_inert_orbit_unsupported():
+    K = analyze_quadratic(F3, "2*T^2+T")
+    order = QuadOrder.make(K)
+    with pytest.raises(UnsupportedPath):
+        galois_orbit(CMPoint(order, principal_form(order)), "T+1")
+
+
+def test_orbit_equals_iterated_steps():
+    # h = 14 and [P] generates Pic(R); start from a non-principal class
+    K = analyze_quadratic(F3, "T^3+2*T+1")
+    order = QuadOrder.make(K, "T")
+    cg = class_group(order)
+    point = CMPoint(order, cg.forms[3])
+    p = find_split_prime(order)
+    keys = {}
+    for conjugate in (False, True):
+        orbit, length = galois_orbit(point, p.poly, conjugate)
+        assert length == cg.h == 14
+        cur, stepped = point, [point]
+        for _ in range(length - 1):
+            cur = galois_isogeny_step(cur, p.poly, conjugate)
+            stepped.append(cur)
+        assert galois_isogeny_step(cur, p.poly, conjugate).cls.key() == point.cls.key()
+        keys[conjugate] = [pt.cls.key() for pt in orbit]
+        assert keys[conjugate] == [pt.cls.key() for pt in stepped]
+    # the conjugate prime acts by the inverse class: the same cycle reversed
+    assert keys[True] == keys[False][:1] + keys[False][:0:-1]
 
 
 def test_point_from_row_and_json():

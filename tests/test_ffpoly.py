@@ -20,6 +20,8 @@ from cmtk.ffpoly import (
     kdec,
     kenc,
     kjacobi,
+    kmul,
+    kscale,
     monic_polys,
     parse_poly,
     poly_from_json,
@@ -252,6 +254,24 @@ def test_jacobi_extension_field():
         for code in range(1, 81):
             m = kdec(F9, code)
             assert kjacobi(F9, m, p.coeffs) == kchar(F9, m, p.coeffs)
+
+
+@pytest.mark.parametrize("q", [3, 7, 27])
+def test_jacobi_matches_euler_q_3_mod_4(q):
+    # q = 3 mod 4 is where reciprocity flips the sign when both degrees
+    # are odd (degree-3 primes leave odd-degree residues); m runs over
+    # non-monic polynomials and multiples of p
+    F = fq_from_q(q)
+    c0 = F.canonical_nonsquare()
+    lowers = [kdec(F, code) for code in range(1, 3 * q)]
+    lowers += [kdec(F, code * 7919 % q**5) for code in range(1, 40)]
+    for t in (1, 2, 3):
+        primes = irreducibles(F, t)
+        for p in primes[:: max(1, len(primes) // 12)]:
+            pc = p.coeffs
+            for m in lowers:
+                for a in (kscale(F, m, c0), kmul(F, m, pc), kscale(F, kmul(F, m, pc), c0)):
+                    assert kjacobi(F, a, pc) == kchar(F, a, pc), (q, a, pc)
 
 
 # ---------------------------------------------------------------------------

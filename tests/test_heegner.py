@@ -89,7 +89,6 @@ def test_tower_base_and_trivial_level():
     assert base[0].ideal.a == parse_poly(F3, "T")
     trivial = order_tower(K, "T+2", "1", 2)
     assert all(lev.ideal.a == parse_poly(F3, "1") for lev in trivial)
-    assert all(lev.ideal.is_principal_rep for lev in trivial)
 
 
 def test_tower_recursion_split_and_inert_prime():

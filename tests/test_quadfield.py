@@ -99,7 +99,6 @@ def test_genus_formula():
     assert analyze_quadratic(F3, "T").genus == 0
     assert analyze_quadratic(F3, "T^5+2*T+1").genus == 2
     assert analyze_quadratic(F3, "2*T^4+T+1").genus == 1
-    assert analyze_quadratic(F3, "T").constant_field_degree == 1
 
 
 def test_field_json_record():

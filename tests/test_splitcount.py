@@ -14,10 +14,12 @@ from cmtk.splitcount import (
     SplittingSpec,
     castelnuovo_bound,
     cebotarev_window,
+    compositum_genus_bound,
     count_split_primes,
     pi_lower_bound,
     pi_lower_bound_genera,
     split_audit,
+    supply_lower_bound,
 )
 
 F3 = Fq(3)
@@ -179,6 +181,20 @@ def test_pinned_constants_example():
     assert pi_lower_bound_genera(3, 0, 0, 4) == Fraction(81, 16) - 108
     assert pi_lower_bound_genera(3, 0, 0, 4) == Fraction(-1647, 16)
     assert pi_lower_bound_genera(3, 1, 2, 4) == Fraction(81, 16) - 36 * 9
+
+
+def test_pinned_two_field_bound_is_the_general_formula():
+    assert compositum_genus_bound([]) == (0, 1)
+    assert compositum_genus_bound([1, 2]) == (7, 4)  # 2 g1 + 2 g2 + 1
+    for q in (3, 5, 7, 9, 25):
+        for g1 in range(8):
+            for g2 in range(8):
+                for t in range(2, 30, 2):
+                    pinned = Fraction(q**t, 4 * t) - (8 * (g1 + g2) + 12) * q ** (t // 2)
+                    assert pi_lower_bound_genera(q, g1, g2, t) == pinned
+    for t in (-2, 0, 3):
+        with pytest.raises(DomainError):
+            supply_lower_bound(3, 1, 0, t)
 
 
 def test_positive_lower_bound_is_honest():

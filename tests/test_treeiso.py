@@ -19,7 +19,6 @@ from cmtk.treeiso import (
     hecke_coset_reps,
     monic_divisors,
     psi,
-    triple_project,
 )
 
 F3 = Fq(3)
@@ -212,7 +211,7 @@ def test_bigdegree_accepts_polynomials():
 
 def test_bigdegree_norm_mode_matches_geodesic_count():
     for norm, mult in [(3, 1), (3, 2), (9, 3), (5, 2)]:
-        tree = RegularTree.for_prime_norm(norm)
+        tree = RegularTree(norm + 1)
         expected = Fraction(count_avoiding_geodesics(tree, mult, 2), 2 * mult + 1)
         assert bigdegree_bound([(norm, mult)], "norm") == expected
 
@@ -234,7 +233,7 @@ def test_triple_projection():
     t = SpecialTriple.make(F3, "1", "1", "1")
     assert t.project(1, 2).text() == "1"
     t = SpecialTriple.make(F3, "T", "1", "T+1")
-    assert triple_project(t, 1, 3) == P3("T^2+T")
+    assert t.project(1, 3) == P3("T^2+T")
     assert t.project(1, 3) == t.project(3, 1)
     # non-monic inputs are normalized to the monic representative
     t2 = SpecialTriple.make(F3, "2*T", "1", "T+1")

@@ -11,27 +11,17 @@ from .errors import (
     UnsupportedPath,
 )
 from .ffpoly import (
-    DEFAULT_ENUM_BUDGET,
-    Fq,
     Poly,
-    PrimePoly,
     as_prime,
-    factor_any,
     factor_monic,
     fq_from_q,
-    irreducible_count,
     irreducibles,
     jacobi_symbol,
     monic_polys,
     parse_poly,
-    poly_from_json,
-    poly_from_text,
     quadratic_character,
 )
 from .quadfield import (
-    ClassGroup,
-    FormClass,
-    ImagQuadField,
     QuadOrder,
     analyze_quadratic,
     class_group,
@@ -45,8 +35,6 @@ from .quadfield import (
 )
 from .cmcat import (
     CMPoint,
-    acting_ideal_form,
-    catalogue_json,
     catalogue_total,
     enumerate_cm_points,
     find_split_prime,
@@ -55,76 +43,52 @@ from .cmcat import (
     split_prime_form,
 )
 from .treeiso import (
-    BIGDEGREE_MODES,
-    HeckeCosetRep,
     RegularTree,
-    SpecialTriple,
     bigdegree_bound,
     count_avoiding_geodesics,
-    covering_group_orders,
-    degree_bounds,
     hecke_coset_reps,
-    monic_divisors,
     psi,
 )
 from .splitcount import (
-    DensityWindow,
     SplittingSpec,
-    castelnuovo_bound,
     cebotarev_window,
     count_split_primes,
-    pi_lower_bound,
-    pi_lower_bound_genera,
-    split_audit,
 )
 from .certify import (
-    Certificate,
     CurveHypothesis,
-    Inequality,
     certify_point,
     check_improper,
     find_admissible_prime,
     minimal_height_bound,
-    pic_lower_bound,
     reaudit,
     step3_ladder,
 )
 from .heegner import (
-    HeegnerSearch,
     HeegnerSearchSpec,
-    TowerLevel,
     find_heegner_fields,
     order_tower,
 )
-from .jsonio import canonical_dumps, envelope, load_schema, render_table
+from .jsonio import (
+    canonical_dumps,
+    load_schema,
+)
 
 __all__ = [
-    "SCHEMA_VERSION",
     "BudgetError",
     "CmtkError",
     "DomainError",
     "FieldRejected",
     "NotSplitError",
     "UnsupportedPath",
-    "DEFAULT_ENUM_BUDGET",
-    "Fq",
     "Poly",
-    "PrimePoly",
     "as_prime",
-    "factor_any",
     "factor_monic",
     "fq_from_q",
-    "irreducible_count",
     "irreducibles",
     "jacobi_symbol",
     "monic_polys",
     "parse_poly",
-    "poly_from_json",
-    "poly_from_text",
     "quadratic_character",
-    "ClassGroup",
-    "FormClass",
-    "ImagQuadField",
     "QuadOrder",
     "analyze_quadratic",
     "class_group",
@@ -136,50 +100,30 @@ __all__ = [
     "principal_form",
     "reduce_form",
     "CMPoint",
-    "acting_ideal_form",
-    "catalogue_json",
     "catalogue_total",
     "enumerate_cm_points",
     "find_split_prime",
     "galois_orbit",
     "point_from_row",
     "split_prime_form",
-    "BIGDEGREE_MODES",
-    "HeckeCosetRep",
     "RegularTree",
-    "SpecialTriple",
     "bigdegree_bound",
     "count_avoiding_geodesics",
-    "covering_group_orders",
-    "degree_bounds",
     "hecke_coset_reps",
-    "monic_divisors",
     "psi",
-    "DensityWindow",
     "SplittingSpec",
-    "castelnuovo_bound",
     "cebotarev_window",
     "count_split_primes",
-    "pi_lower_bound",
-    "pi_lower_bound_genera",
-    "split_audit",
-    "Certificate",
     "CurveHypothesis",
-    "Inequality",
     "certify_point",
     "check_improper",
     "find_admissible_prime",
     "minimal_height_bound",
-    "pic_lower_bound",
     "reaudit",
     "step3_ladder",
-    "HeegnerSearch",
     "HeegnerSearchSpec",
-    "TowerLevel",
     "find_heegner_fields",
     "order_tower",
     "canonical_dumps",
-    "envelope",
     "load_schema",
-    "render_table",
 ]

@@ -217,7 +217,7 @@ def find_admissible_prime(
         for p in irreducibles(field, t, budget):
             reason = None
             for i, pt in enumerate(hyp.points):
-                if (pt.order.conductor % p.poly).is_zero:
+                if (pt.order.conductor % p).is_zero:
                     reason = f"divides_conductor_{i}"
                     break
                 if jacobi_symbol(pt.order.K.m, p) != 1:
@@ -227,7 +227,7 @@ def find_admissible_prime(
                 trace.append(
                     {
                         "degree": t,
-                        "accepted": p.poly.text(),
+                        "accepted": p.text(),
                         "rejected": rejected,
                         "examples": first,
                     }
@@ -235,7 +235,7 @@ def find_admissible_prime(
                 return p, trace
             rejected[reason] = rejected.get(reason, 0) + 1
             if len(first) < 3:
-                first.append({"prime": p.poly.text(), "reason": reason})
+                first.append({"prime": p.text(), "reason": reason})
         trace.append({"degree": t, "rejected": rejected, "examples": first})
     raise BudgetError(
         "no admissible prime within the degree budget",
@@ -267,7 +267,7 @@ class ImproperCheck:
 
 def check_improper(prime, hyp, pic_sizes):
     """|Pic(R_i)| / F_deg > 4 (|p|+1)^2 d^2 for some coordinate i."""
-    rhs = _improper_threshold(prime.poly.norm, hyp.d)
+    rhs = _improper_threshold(prime.norm, hyp.d)
     ineqs = tuple(
         Inequality.check(
             f"improper_intersection_{i}", Fraction(pic, hyp.F_deg), rhs
@@ -307,7 +307,7 @@ def certify_point(
     h, audit = order_class_number(point.order.K, point.order.conductor)
     frag = check_improper(prime, hyp, [h])
     floor_ineq = Inequality.check(
-        "prime_norm_floor", prime.poly.norm, hyp.norm_floor - 1
+        "prime_norm_floor", prime.norm, hyp.norm_floor - 1
     )
     ineqs = [floor_ineq]
     verdict = "inconclusive"
@@ -320,9 +320,9 @@ def certify_point(
         verdict,
         (
             {
-                "prime": prime.poly.text(),
-                "degree": prime.poly.degree,
-                "norm": str(prime.poly.norm),
+                "prime": prime.text(),
+                "degree": prime.degree,
+                "norm": str(prime.norm),
             },
         ),
         tuple(ineqs),

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .errors import BudgetError, CmtkError, DomainError
 from .ffpoly import (
@@ -56,27 +55,6 @@ from .heegner import HeegnerSearchSpec, find_heegner_fields, order_tower
 from .jsonio import canonical_dumps, envelope, render_table
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-wide knobs: base field size, budgets, output format."""
-
-    q: int
-    enum_budget: int
-    prime_degree_budget: int
-    grid: int
-    fmt: str
-
-    @classmethod
-    def make(cls, q, enum_budget, prime_degree_budget, grid, fmt):
-        if q < 3 or q % 2 == 0:
-            raise DomainError("q must be an odd prime power >= 3")
-        if enum_budget < 1 or prime_degree_budget < 1 or grid < 1:
-            raise DomainError("budgets must be positive")
-        if fmt not in ("json", "table"):
-            raise DomainError(f"unknown output format {fmt!r}")
-        return cls(q, enum_budget, prime_degree_budget, grid, fmt)
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit 2; the contract here is exit 1."""
 
@@ -94,25 +72,25 @@ def _split_csv(text):
 # subcommand handlers (each returns a JSON-ready result object)
 
 
-def _cmd_factor(ns, cfg, field):
+def _cmd_factor(ns, field):
     f = parse_poly(field, ns.poly)
     unit, factors = factor_any(f)
     return {
         "input": f.text(),
         "unit": unit,
         "factors": [
-            {"prime": p.poly.text(), "multiplicity": mult, "witness": p.witness}
+            {"prime": p.text(), "multiplicity": mult, "witness": p.witness}
             for p, mult in factors
         ],
     }
 
 
-def _cmd_classgroup(ns, cfg, field):
+def _cmd_classgroup(ns, field):
     K = analyze_quadratic(field, parse_poly(field, ns.m))
     conductor = parse_poly(field, ns.f)
-    h, audit = order_class_number(K, conductor, cfg.enum_budget)
+    h, audit = order_class_number(K, conductor, ns.enum_budget)
     result = {
-        "q": cfg.q,
+        "q": ns.q,
         "m": K.m.text(),
         "f": conductor.text(),
         "genus": K.genus,
@@ -122,7 +100,7 @@ def _cmd_classgroup(ns, cfg, field):
         "audit": audit,
     }
     if ns.with_reps:
-        cg = class_group(QuadOrder.make(K, conductor), cfg.enum_budget)
+        cg = class_group(QuadOrder.make(K, conductor), ns.enum_budget)
         result["path"] = cg.path
         obj = cg.json_obj()
         if "representatives" in obj:
@@ -130,17 +108,17 @@ def _cmd_classgroup(ns, cfg, field):
     return result
 
 
-def _cmd_cm_enumerate(ns, cfg, field):
-    rows = enumerate_cm_points(field, ns.bound, cfg.enum_budget)
+def _cmd_cm_enumerate(ns, field):
+    rows = enumerate_cm_points(field, ns.bound, ns.enum_budget)
     return {
-        "q": cfg.q,
+        "q": ns.q,
         "bound": ns.bound,
         "total": str(catalogue_total(rows)),
         "rows": catalogue_json(rows),
     }
 
 
-def _cmd_cm_orbit(ns, cfg, field):
+def _cmd_cm_orbit(ns, field):
     K = analyze_quadratic(field, parse_poly(field, ns.m))
     order = QuadOrder.make(K, parse_poly(field, ns.f))
     if (ns.a is None) != (ns.b is None):
@@ -149,16 +127,16 @@ def _cmd_cm_orbit(ns, cfg, field):
         start = principal_form(order)
     else:
         start = FormClass(order, parse_poly(field, ns.a), parse_poly(field, ns.b))
-    prime = as_prime(field, parse_poly(field, ns.prime))
+    prime = as_prime(field, ns.prime)
     point = CMPoint(order, start)
     orbit, length = galois_orbit(
-        point, prime.poly, conjugate=ns.conjugate, max_steps=ns.max_steps
+        point, prime, conjugate=ns.conjugate, max_steps=ns.max_steps
     )
     return {
-        "q": cfg.q,
+        "q": ns.q,
         "m": K.m.text(),
         "f": order.conductor.text(),
-        "prime": prime.poly.text(),
+        "prime": prime.text(),
         "conjugate": ns.conjugate,
         "start": start.json_obj(),
         "length": length,
@@ -166,7 +144,7 @@ def _cmd_cm_orbit(ns, cfg, field):
     }
 
 
-def _cmd_tree(ns, cfg, field):
+def _cmd_tree(ns, field):
     if ns.op == "bigdegree":
         if ns.poly is None:
             raise DomainError("bigdegree needs --poly")
@@ -206,11 +184,11 @@ def _cmd_tree(ns, cfg, field):
     raise DomainError(f"unknown tree op {ns.op!r}")
 
 
-def _cmd_hecke(ns, cfg, field):
+def _cmd_hecke(ns, field):
     N = parse_poly(field, ns.level)
     reps = hecke_coset_reps(N)
     result = {
-        "q": cfg.q,
+        "q": ns.q,
         "level": N.text(),
         "psi": str(psi(N)),
         "reps": [r.json_obj() for r in reps],
@@ -224,13 +202,13 @@ def _cmd_hecke(ns, cfg, field):
     return result
 
 
-def _cmd_split_count(ns, cfg, field):
+def _cmd_split_count(ns, field):
     spec = SplittingSpec.make(field, _split_csv(ns.radicands))
-    return split_audit(spec, ns.t, cfg.enum_budget)
+    return split_audit(spec, ns.t, ns.enum_budget)
 
 
-def _cmd_certify(ns, cfg, field):
-    rows = enumerate_cm_points(field, ns.bound, cfg.enum_budget)
+def _cmd_certify(ns, field):
+    rows = enumerate_cm_points(field, ns.bound, ns.enum_budget)
     if not 0 <= ns.point < len(rows):
         raise DomainError(
             f"catalogue id {ns.point} out of range (bound {ns.bound} has "
@@ -241,8 +219,8 @@ def _cmd_certify(ns, cfg, field):
         point,
         d=ns.d,
         F_deg=ns.F_deg,
-        max_degree=cfg.prime_degree_budget,
-        budget=cfg.enum_budget,
+        max_degree=ns.prime_degree_budget,
+        budget=ns.enum_budget,
     )
     result = cert.json_obj()
     result["catalogue_id"] = ns.point
@@ -250,14 +228,14 @@ def _cmd_certify(ns, cfg, field):
     return result
 
 
-def _cmd_minimal_B(ns, cfg, field):
+def _cmd_minimal_B(ns, field):
     bound, audit = minimal_height_bound(
-        ns.d, ns.F_deg, cfg.q, grid=cfg.grid, t_budget=ns.t_budget
+        ns.d, ns.F_deg, ns.q, grid=ns.grid, t_budget=ns.t_budget
     )
-    return {"q": cfg.q, "d": ns.d, "F_deg": ns.F_deg, "B": str(bound), "audit": audit}
+    return {"q": ns.q, "d": ns.d, "F_deg": ns.F_deg, "B": str(bound), "audit": audit}
 
 
-def _cmd_heegner(ns, cfg, field):
+def _cmd_heegner(ns, field):
     spec = HeegnerSearchSpec.make(
         field,
         ns.level,
@@ -274,7 +252,7 @@ def _cmd_heegner(ns, cfg, field):
         if not search.fields:
             raise DomainError("no field found to build the tower on")
         tower = order_tower(
-            search.fields[0], spec.p, spec.n, ns.levels, cfg.enum_budget
+            search.fields[0], spec.p, spec.n, ns.levels, ns.enum_budget
         )
         result["tower"] = [lev.json_obj() for lev in tower]
     return result
@@ -409,22 +387,19 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        cfg = RunConfig.make(
-            ns.q,
-            ns.enum_budget,
-            ns.prime_degree_budget,
-            ns.grid,
-            ns.format,
-        )
-        field = fq_from_q(cfg.q)
-        result = ns.func(ns, cfg, field)
+        if ns.q < 3 or ns.q % 2 == 0:
+            raise DomainError("q must be an odd prime power >= 3")
+        if ns.enum_budget < 1 or ns.prime_degree_budget < 1 or ns.grid < 1:
+            raise DomainError("budgets must be positive")
+        field = fq_from_q(ns.q)
+        result = ns.func(ns, field)
     except BudgetError as err:
         sys.stderr.write(f"cmtk: budget exhausted: {err}\n")
         return 3
     except CmtkError as err:
         sys.stderr.write(f"cmtk: {type(err).__name__}: {err}\n")
         return 2
-    if cfg.fmt == "table":
+    if ns.format == "table":
         sys.stdout.write(render_table(result) + "\n")
     else:
         sys.stdout.write(canonical_dumps(envelope(ns.command, result)))

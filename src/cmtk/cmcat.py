@@ -222,7 +222,7 @@ def split_prime_form(order, p, conjugate=False):
         raise NotSplitError(
             f"prime {p.text()} has character {chi}, not split", prime=p.text()
         )
-    if (order.conductor % p.poly).is_zero:
+    if (order.conductor % p).is_zero:
         raise NotSplitError(
             f"prime {p.text()} divides the conductor", prime=p.text()
         )
@@ -230,7 +230,7 @@ def split_prime_form(order, p, conjugate=False):
     if len(roots) != 2:
         raise AssertionError("split prime must carry exactly two roots")
     b = roots[1] if conjugate else roots[0]
-    return FormClass(order, p.poly, Poly(F, b))
+    return FormClass(order, p, Poly(F, b))
 
 
 def acting_ideal_form(order, n, conjugate=False):
@@ -304,7 +304,7 @@ def find_split_prime(order, min_degree=1, budget_degree=8):
         for p in irreducibles(F, t):
             if jacobi_symbol(order.K.m, p) != 1:
                 continue
-            if (order.conductor % p.poly).is_zero:
+            if (order.conductor % p).is_zero:
                 continue
             return p
     raise BudgetError(

@@ -13,7 +13,8 @@ ordering used for deterministic output: degree first, then coefficients
 compared from the leading one down.
 
 The private k* functions operate on raw coefficient tuples and carry the
-hot loops; the Poly / PrimePoly wrappers are the public surface.
+hot loops; Poly is the public surface.  A prime is a PrimePoly: a Poly
+that is monic irreducible and records how that was witnessed.
 """
 
 from __future__ import annotations
@@ -156,9 +157,6 @@ class FqSpec:
         """Quadratic character of a constant: +1 square, -1 non-square, 0 zero."""
         return self._leg[c]
 
-    def is_square(self, c):
-        return self._leg[c] >= 0
-
     def canonical_nonsquare(self):
         """Code-smallest non-square unit; exists since q is odd."""
         for c in range(1, self.q):
@@ -209,7 +207,7 @@ def Fq(p, e=1):
     return _fq_interned(int(p), int(e))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _fq_interned(p, e):
     if not _is_prime_int(p) or p == 2:
         raise DomainError(f"p must be an odd prime, got {p}")
@@ -624,7 +622,7 @@ def kjacobi(F, a, b):
 
 
 # ---------------------------------------------------------------------------
-# public wrappers
+# public polynomials and primes
 
 
 @dataclass(frozen=True, slots=True)
@@ -645,6 +643,15 @@ class Poly:
     @classmethod
     def gen(cls, field):
         return cls(field, (0, 1))
+
+    # equal values are equal whatever the subclass (a PrimePoly is a Poly)
+    def __eq__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return (self.field, self.coeffs) == (other.field, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     # -- structure ----------------------------------------------------------
 
@@ -739,9 +746,6 @@ class Poly:
             base = base * base
             k >>= 1
         return result
-
-    def powmod(self, k, mod):
-        return Poly(self.field, kpow_mod(self.field, self.coeffs, k, mod.coeffs))
 
     def monic(self):
         return Poly(self.field, kmonic(self.field, self.coeffs)[0])
@@ -867,54 +871,41 @@ def parse_poly(field, text_or_json):
     return poly_from_text(field, s)
 
 
-@dataclass(frozen=True, slots=True)
-class PrimePoly:
+@dataclass(frozen=True, slots=True, eq=False)
+class PrimePoly(Poly):
     """Monic irreducible polynomial with its irreducibility witnessed.
 
     The default construction path runs the full deterministic test; the
     internal constructors record the exhaustive method that certified the
     factor instead.  No root-free or degree shortcut is ever stored.
+    Equality and hashing are those of the Poly: the witness is ignored.
     """
 
-    poly: Poly
     witness: str = "unchecked"
 
     def __post_init__(self):
         if self.witness == "unchecked":
-            if not self.poly.is_monic or not kis_irreducible(
-                self.poly.field, self.poly.coeffs
-            ):
-                raise DomainError(f"{self.poly!r} is not monic irreducible")
+            if not self.is_monic or not kis_irreducible(self.field, self.coeffs):
+                raise DomainError(
+                    f"Poly(q={self.field.q}, {self.text()}) is not monic irreducible"
+                )
             object.__setattr__(self, "witness", "rabin")
 
     @property
-    def degree(self):
-        return self.poly.degree
-
-    @property
-    def norm(self):
-        return self.poly.norm
-
-    @property
-    def field(self):
-        return self.poly.field
-
-    @property
-    def coeffs(self):
-        return self.poly.coeffs
-
-    def text(self):
-        return self.poly.text()
+    def poly(self):
+        """The prime itself; kept for callers that still unwrap it."""
+        return self
 
     def __repr__(self):
-        return f"PrimePoly(q={self.poly.field.q}, {self.poly.text()})"
+        return f"PrimePoly(q={self.field.q}, {self.text()})"
 
 
 def as_prime(field, p):
     """Coerce a Poly / text / PrimePoly to a verified PrimePoly."""
     if isinstance(p, PrimePoly):
         return p
-    return PrimePoly(parse_poly(field, p))
+    p = parse_poly(field, p)
+    return PrimePoly(p.field, p.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -933,8 +924,7 @@ def factor_monic(f):
     F = f.field
     fac = kfactor_monic(F, f.coeffs)
     out = [
-        (PrimePoly(Poly(F, pp), witness="split-recombine"), m)
-        for pp, m in fac.items()
+        (PrimePoly(F, pp, "split-recombine"), m) for pp, m in fac.items()
     ]
     out.sort(key=lambda t: kenc(F, t[0].coeffs))
     return out
@@ -959,19 +949,14 @@ def irreducible_count(q, t):
     return total // t
 
 
-_IRR_CACHE = {}
-
-
 def irreducibles(field, t, budget=DEFAULT_ENUM_BUDGET):
     """All monic irreducibles of degree t, canonically ordered.
 
     Sieve by striking products (smallest factor has degree <= t/2), so
     membership in the output is itself an exhaustive irreducibility
-    witness.  Enumeration work ~ t*q^t is checked against the budget.
+    witness.  Enumeration work ~ t*q^t is checked against the budget on
+    every call, cached or not.
     """
-    key = (field, t)
-    if key in _IRR_CACHE:
-        return _IRR_CACHE[key]
     if t < 1:
         raise DomainError("degree must be >= 1")
     if t * field.q**t > budget:
@@ -981,29 +966,31 @@ def irreducibles(field, t, budget=DEFAULT_ENUM_BUDGET):
             t=t,
             budget=budget,
         )
+    return _irreducible_sieve(field, t)
+
+
+@functools.cache
+def _irreducible_sieve(field, t):
     q = field.q
     size = q**t
     composite = bytearray(size)
     for d in range(1, t // 2 + 1):
-        for g in irreducibles(field, d, budget):
+        for g in _irreducible_sieve(field, d):
             gc = g.coeffs
             for lower in range(q ** (t - d)):
                 h = kdec(field, q ** (t - d) + lower)
                 prod = kmul(field, gc, h)
                 composite[kenc(field, prod) - size] = 1
-    out = []
-    for lower in range(size):
-        if not composite[lower]:
-            out.append(
-                PrimePoly(Poly(field, kdec(field, size + lower)), witness="sieve")
-            )
-    result = tuple(out)
+    result = tuple(
+        PrimePoly(field, kdec(field, size + lower), "sieve")
+        for lower in range(size)
+        if not composite[lower]
+    )
     expected = irreducible_count(q, t)
     if len(result) != expected:
         raise AssertionError(
             f"sieve found {len(result)} irreducibles of degree {t}, expected {expected}"
         )
-    _IRR_CACHE[key] = result
     return result
 
 
@@ -1013,8 +1000,6 @@ def quadratic_character(m, prime):
     Completely multiplicative in m for m coprime to p; +1 on all of
     F_q^* when deg p is even.
     """
-    if isinstance(m, PrimePoly):
-        m = m.poly
     p = as_prime(m.field, prime)
     if m.is_zero:
         raise DomainError("character of the zero polynomial")
@@ -1023,10 +1008,6 @@ def quadratic_character(m, prime):
 
 def jacobi_symbol(m, b):
     """Reciprocity-chain Jacobi symbol (m/b), b monic; no factoring."""
-    if isinstance(m, PrimePoly):
-        m = m.poly
-    if isinstance(b, PrimePoly):
-        b = b.poly
     return kjacobi(m.field, m.coeffs, b.coeffs)
 
 

@@ -50,9 +50,9 @@ class HeegnerSearchSpec:
             raise DomainError("the level must be monic and nonzero")
         if p is not None:
             p = as_prime(field, p)
-            if require_coprime and (n % p.poly).is_zero:
+            if require_coprime and (n % p).is_zero:
                 raise DomainError(
-                    f"tower prime {p.poly.text()} divides the level {n.text()}"
+                    f"tower prime {p.text()} divides the level {n.text()}"
                 )
         if max_degree < 1 or count < 1:
             raise DomainError("budgets must be >= 1")
@@ -86,7 +86,7 @@ def heegner_field_json(K, spec):
         "m": K.m.text(),
         "genus": K.genus,
         "checks": [
-            {"prime": p.poly.text(), "chi": jacobi_symbol(K.m, p)}
+            {"prime": p.text(), "chi": jacobi_symbol(K.m, p)}
             for p in spec.level_primes()
         ],
     }
@@ -125,9 +125,9 @@ def find_heegner_fields(spec, mode="direct"):
         one = Poly.constant(field, 1)
         for t in range(1, spec.max_degree + 1, 2):
             for p in irreducibles(field, t):
-                if (p.poly % spec.n) != (one % spec.n):
+                if (p % spec.n) != (one % spec.n):
                     continue
-                K = _passes(field, p.poly, level_primes)
+                K = _passes(field, p, level_primes)
                 assert K is not None, "a prime 1 mod n must pass every check"
                 found.append(K)
                 if len(found) == spec.count:
@@ -171,17 +171,17 @@ def order_tower(K, p, n, levels, budget=DEFAULT_ENUM_BUDGET):
     for q_prime, _ in factor_monic(n):
         if jacobi_symbol(K.m, q_prime) != 1:
             raise NotSplitError(
-                f"Heegner hypothesis fails: {q_prime.poly.text()} does not "
+                f"Heegner hypothesis fails: {q_prime.text()} does not "
                 f"split in k(sqrt {K.m.text()})",
                 prime=q_prime,
             )
-        if q_prime.poly == p.poly:
+        if q_prime == p:
             raise DomainError(
-                f"tower prime {p.poly.text()} divides the level {n.text()}"
+                f"tower prime {p.text()} divides the level {n.text()}"
             )
     tower = []
     for j in range(levels + 1):
-        order = QuadOrder.make(K, p.poly**j)
+        order = QuadOrder.make(K, p**j)
         ideal = acting_ideal_form(order, n)
         h, _ = order_class_number(K, order.conductor, budget)
         tower.append(TowerLevel(j, order, ideal, h))

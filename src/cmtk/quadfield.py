@@ -29,6 +29,7 @@ conductor formula h(R) = h_K |f| prod_{p | f} (1 - chi(p)/|p|).
 
 from __future__ import annotations
 
+import functools
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,9 +122,8 @@ def analyze_quadratic(field, m):
 # ---------------------------------------------------------------------------
 # point-counting / zeta oracle
 
-_EXT_TABLES = {}
 
-
+@functools.cache
 def _ext_tables(field, i):
     """Zech-log tables of F_{q^i} = F_{p^n}, n = e i, cached per (field, i).
 
@@ -142,10 +142,6 @@ def _ext_tables(field, i):
       embedded through a root of field.modulus; any root gives the same
       point counts, since the roots are Galois conjugate.
     """
-    key = (field, i)
-    got = _EXT_TABLES.get(key)
-    if got is not None:
-        return got
     p, n = field.p, field.e * i
     N = p**n - 1
     taps = [(j, (-c) % p) for j, c in enumerate(primitive_modulus(p, n)[:-1]) if c]
@@ -185,9 +181,7 @@ def _ext_tables(field, i):
     clog = [None] + [
         log_at([(code // p**j) % p for j in range(field.e)], root) for code in range(1, field.q)
     ]
-    got = (N, zech, cls, clog)
-    _EXT_TABLES[key] = got
-    return got
+    return N, zech, cls, clog
 
 
 def _shifts(start, k, N):
@@ -322,23 +316,15 @@ class QuadOrder:
         }
 
 
-_SQRT_TABLES = {}
-
-
+@functools.cache
 def _sqrt_table(field, a):
     """Map r^2 mod a -> sorted tuple of residues r, cached per (field, a)."""
-    key = (field, a)
-    got = _SQRT_TABLES.get(key)
-    if got is None:
-        d = len(a) - 1
-        table = {}
-        for code in range(field.q**d):
-            r = kdec(field, code)
-            sq = kmod(field, kmul(field, r, r), a)
-            table.setdefault(sq, []).append(r)
-        got = {sq: tuple(sorted(rs, key=lambda r: kenc(field, r))) for sq, rs in table.items()}
-        _SQRT_TABLES[key] = got
-    return got
+    table = {}
+    for code in range(field.q ** (len(a) - 1)):
+        r = kdec(field, code)
+        sq = kmod(field, kmul(field, r, r), a)
+        table.setdefault(sq, []).append(r)
+    return {sq: tuple(sorted(rs, key=lambda r: kenc(field, r))) for sq, rs in table.items()}
 
 
 def sqrtmod(field, value, a):
@@ -503,7 +489,7 @@ class ClassGroup:
             for i in range(n)
         ]
 
-    def json_obj(self, include_table=False):
+    def json_obj(self):
         obj = {
             "order": self.order.json_obj(),
             "h": str(self.h),
@@ -511,8 +497,6 @@ class ClassGroup:
         }
         if self.path == "forms":
             obj["representatives"] = [f.json_obj() for f in self.forms]
-        if include_table and self.path == "forms":
-            obj["composition_table"] = self.composition_table()
         return obj
 
 

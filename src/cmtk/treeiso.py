@@ -221,7 +221,7 @@ def monic_divisors(N):
         power = Poly.constant(F, 1)
         powers = []
         for _ in range(mult):
-            power = power * p.poly
+            power = power * p
             powers.append(power)
         divisors = divisors + [d * pw for d in divisors for pw in powers]
     divisors.sort(key=lambda g: g.code)

@@ -20,10 +20,13 @@ from cmtk.cmcat import (
 )
 from cmtk.ffpoly import (
     Fq,
+    Poly,
+    as_prime,
     fq_from_q,
     irreducibles,
     jacobi_symbol,
     monic_polys,
+    parse_poly,
     poly_from_text,
     quadratic_character,
 )
@@ -207,6 +210,25 @@ def test_order_two_class_double_step():
         assert twice.cls.key() == point.cls.key()
 
 
+def test_galois_action_accepts_library_primes():
+    # the PrimePoly of find_split_prime acts exactly as the plain Poly does
+    point = _point("T^3+2*T+1", "T")
+    order = point.order
+    p = find_split_prime(order)
+    plain = Poly(F3, p.coeffs)
+    assert p.text() == "T+1" and p.witness == "sieve"
+    assert parse_poly(F3, p) is p
+    assert plain == p and hash(plain) == hash(p)
+    assert as_prime(F3, "T+1") == p  # witness "rabin" against "sieve"
+    assert acting_ideal_form(order, p).key() == acting_ideal_form(order, plain).key()
+    stepped = galois_isogeny_step(point, p)
+    assert stepped.cls.key() == galois_isogeny_step(point, plain).cls.key()
+    orbit, length = galois_orbit(point, p)
+    plain_orbit, plain_length = galois_orbit(point, plain)
+    assert length == plain_length
+    assert [pt.cls.key() for pt in orbit] == [pt.cls.key() for pt in plain_orbit]
+
+
 def test_action_is_homomorphism():
     point = _point("T^3+2*T+1", "1")
     splits = [
@@ -280,7 +302,7 @@ def test_point_from_row_and_json():
 def test_orbit_lengths_divide_h(idx):
     # genus-1 maximal orders: first few squarefree cubics
     cubics = []
-    from cmtk.ffpoly import Poly, kdec
+    from cmtk.ffpoly import kdec
 
     for lower in range(3**3):
         m = Poly(F3, kdec(F3, 3**3 + lower))

@@ -154,9 +154,9 @@ def test_known_small_factorizations():
     fac = factor_monic(P(F3, "T^2"))
     assert [(p.text(), m) for p, m in fac] == [("T", 2)]
     # T^2+1 is irreducible over F_3 (no root, degree 2)
-    assert PrimePoly(P(F3, "T^2+1")).witness == "rabin"
-    with pytest.raises(DomainError):
-        PrimePoly(P(F3, "T^2+2"))  # = (T+1)(T+2)
+    assert as_prime(F3, "T^2+1").witness == "rabin"
+    with pytest.raises(DomainError, match="is not monic irreducible"):
+        as_prime(F3, "T^2+2")  # = (T+1)(T+2)
 
 
 def test_factor_inseparable_power():
@@ -205,6 +205,29 @@ def test_counts_match_moebius_and_degree_sum(qe, t):
 def test_irreducibles_budget():
     with pytest.raises(BudgetError):
         irreducibles(F25, 5, budget=1000)
+
+
+def test_irreducibles_budget_checked_on_cache_hit():
+    assert len(irreducibles(F3, 5)) == 48
+    with pytest.raises(BudgetError):
+        irreducibles(F3, 5, budget=10)
+    with pytest.raises(DomainError):
+        irreducibles(F3, 0)
+
+
+def test_prime_is_a_poly_whatever_its_witness():
+    sieved = irreducibles(F3, 1)[1]
+    checked = as_prime(F3, "T+1")
+    plain = P(F3, "T+1")
+    assert isinstance(sieved, PrimePoly) and isinstance(sieved, Poly)
+    assert (sieved.witness, checked.witness) == ("sieve", "rabin")
+    assert sieved == checked == plain and plain == sieved
+    assert hash(sieved) == hash(checked) == hash(plain)
+    assert len({sieved, checked, plain}) == 1
+    assert parse_poly(F3, sieved) is sieved
+    assert str(sieved) == "T+1" and parse_poly(F3, str(sieved)) == sieved
+    assert jacobi_symbol(sieved, as_prime(F3, "T")) == jacobi_symbol(plain, as_prime(F3, "T"))
+    assert quadratic_character(P(F3, "T"), sieved) == quadratic_character(P(F3, "T"), plain)
 
 
 def test_counts_f3():

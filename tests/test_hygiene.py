@@ -1,6 +1,7 @@
-"""Source hygiene: every module-level import in src/cmtk is read somewhere.
+"""Source hygiene: imports in src/cmtk are read, re-exports have users.
 
-__init__.py is left out: its imports are the re-exported public API.
+__init__.py is left out of the unused-import check: its imports are the
+re-exported public API, which has a check of its own.
 """
 
 import ast
@@ -8,7 +9,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cmtk"
+import cmtk
+from cmtk.errors import CmtkError
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cmtk"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -40,3 +45,29 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_module_imports(name):
     assert unused_imports((SRC / name).read_text()) == []
+
+
+def names_imported_from_cmtk(paths):
+    """Names bound by `from cmtk import ...` in the given files."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "cmtk" and not node.level:
+                names.update(a.name for a in node.names)
+    return names
+
+
+def _is_typed_error(obj):
+    return isinstance(obj, type) and issubclass(obj, CmtkError)
+
+
+def test_reexports_have_users():
+    # the typed errors are the error contract: exported even when unused
+    users = [*(ROOT / "scripts").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]
+    used = names_imported_from_cmtk(users)
+    unused = [
+        name
+        for name in cmtk.__all__
+        if name not in used and not _is_typed_error(getattr(cmtk, name))
+    ]
+    assert unused == []

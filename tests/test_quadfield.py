@@ -370,8 +370,7 @@ def test_class_number_respects_lower_bound():
 def test_class_group_json_record():
     K = analyze_quadratic(F3, "T")
     cg = class_group(QuadOrder.make(K, "T+1"))
-    obj = cg.json_obj(include_table=True)
+    obj = cg.json_obj()
     assert obj["h"] == "4" and obj["path"] == "forms"
     assert len(obj["representatives"]) == 4
     assert all(isinstance(pair, list) and len(pair) == 2 for pair in obj["representatives"])
-    assert len(obj["composition_table"]) == 4

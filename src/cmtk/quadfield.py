@@ -15,7 +15,8 @@ Class groups are computed two independent ways:
   read off h = L(1).  The counts run on discrete logarithms in
   F_{q^i} = F_{p^(e i)}: Horner's rule evaluates m at every t at once,
   multiplication adds logs, addition goes through a Zech-log table, and
-  m(t) is a square iff its log is even (tables built once per (q, i));
+  m(t) is a square iff its log is even (tables built once per (q, i)).
+  The pass, value_classes, also feeds splitcount's split-prime counts;
 
 * reduced binary forms (a, b) with b^2 = D mod a for the order radicand
   D = f^2 m, composed by the classical extended-gcd composition and
@@ -192,34 +193,49 @@ def _shifts(start, k, N):
     return map(N.__rmod__, range(start, start + k * N, k))
 
 
-def affine_point_count(K, i):
-    """Number of t in F_{q^i} weighted by solutions of y^2 = m(t).
+SQUARE, NONSQUARE, ZERO = 0, 1, 2  # the classes value_classes gives m(x)
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # SQUARE <-> NONSQUARE
 
-    Horner's rule for all t = g^l != 0 at once, in discrete logs (tables
-    from _ext_tables): if the accumulator is g^a and the next nonzero
-    coefficient c = g^L sits k degrees lower, the new accumulator is
-    a t^k + c = g^(L + zech[a + k l - L]).  Only the argument u of zech is
-    kept, one list entry per t: u' = zech[u] + (L - L' + k' l) mod N.
-    After the lowest nonzero coefficient, of degree k, m(t) is 0 where
-    zech[u] = 2N and otherwise has log L + k l + zech[u]; it is a square
-    iff that log is even.
+
+def value_classes(m, i):
+    """Class of m(x) for every x in F_{q^i}: SQUARE, NONSQUARE or ZERO.
+
+    Byte l is the class of m(g^l) for 0 <= l < N, byte N that of m(0);
+    g and N = q^i - 1 come from _ext_tables, so every radicand gets the
+    same x at the same index.  "Square" is taken in F_{q^i}.
+
+    Horner's rule for all t = g^l at once, in discrete logs: if the
+    accumulator is g^a and the next nonzero coefficient c = g^L sits k
+    degrees lower, the new accumulator is a t^k + c = g^(L + zech[a +
+    k l - L]).  Only the argument u of zech is kept, one list entry per
+    t: u' = zech[u] + (L - L' + k' l) mod N.  After the lowest nonzero
+    coefficient, of degree k, m(t) is 0 where zech[u] = 2N and otherwise
+    has log L + k l + zech[u]; it is a square iff that log is even, so
+    the parity class of zech[u] is flipped where L + k l is odd.
     """
-    N, zech, cls, clog = _ext_tables(K.field, i)
-    c0 = K.m.coeffs[0]
-    total = 1 if c0 == 0 else 2 - 2 * (clog[c0] & 1)  # t = 0
-    terms = [(j, clog[c]) for j, c in enumerate(K.m.coeffs) if c]
+    N, zech, cls, clog = _ext_tables(m.field, i)
+    terms = [(j, clog[c]) for j, c in enumerate(m.coeffs) if c]
     deg, L = terms.pop()
     u = [2 * N] * N  # Horner starts from zero
     for j, next_L in reversed(terms):
         u = list(map(add, map(zech.__getitem__, u), _shifts(L - next_L, deg - j, N)))
         deg, L = j, next_L
-    # m(g^l) has log L + deg l + zech[u_l]
-    kinds = bytes(map(cls.__getitem__, u))
+    classes = bytearray(map(cls.__getitem__, u))
     if deg % 2 == 0:
-        squares = kinds.count(L & 1)
+        if L & 1:
+            classes = classes.translate(_FLIP)
     else:
-        squares = kinds[0::2].count(L & 1) + kinds[1::2].count(1 - (L & 1))
-    return total + kinds.count(2) + 2 * squares
+        odd = 1 - (L & 1)  # the first l with L + deg l odd
+        classes[odd::2] = classes[odd::2].translate(_FLIP)
+    c0 = m.coeffs[0]
+    classes.append(ZERO if c0 == 0 else clog[c0] & 1)
+    return classes
+
+
+def affine_point_count(K, i):
+    """Number of t in F_{q^i} weighted by solutions of y^2 = m(t)."""
+    classes = value_classes(K.m, i)
+    return classes.count(ZERO) + 2 * classes.count(SQUARE)
 
 
 def point_count(K, i):
@@ -460,14 +476,6 @@ class ClassGroup:
     path: str  # "forms" | "zeta"
     forms: tuple = ()
 
-    def index_of(self, form):
-        reduced = reduce_form(form) if not form.is_reduced else form
-        key = reduced.key()
-        for i, f in enumerate(self.forms):
-            if f.key() == key:
-                return i
-        raise DomainError("form does not belong to this class group")
-
     def element_order(self, form):
         """Multiplicative order of the class of `form` in Pic(R)."""
         if self.path != "forms":
@@ -481,13 +489,6 @@ class ClassGroup:
             if n > self.h:
                 raise AssertionError("element order exceeded the group order")
         return n
-
-    def composition_table(self):
-        n = len(self.forms)
-        return [
-            [self.index_of(compose(self.forms[i], self.forms[j])) for j in range(n)]
-            for i in range(n)
-        ]
 
     def json_obj(self):
         obj = {

@@ -298,17 +298,17 @@ def test_criterion_05_galois_action_orbits():
                 return index[reduce_form(form).key()]
 
             p = find_split_prime(order)
-            pf = split_prime_form(order, p.poly)
-            pf_bar = split_prime_form(order, p.poly, conjugate=True)
+            pf = split_prime_form(order, p)
+            pf_bar = split_prime_form(order, p, conjugate=True)
             # norm-correct: both prime forms have norm exactly p, and their
             # product is the principal class (p p-bar = (p))
-            assert pf.a == p.poly and pf_bar.a == p.poly
+            assert pf.a == p and pf_bar.a == p
             assert idx(compose(pf, pf_bar)) == idx(cg.forms[0])
             ord_p = cg.element_order(pf)
             assert ord_p == cg.element_order(pf_bar)  # inverse classes
             acting = None  # the one fixed norm-p class implementing the step
             for start in cg.forms:
-                orbit, length = galois_orbit(CMPoint(order, start), p.poly)
+                orbit, length = galois_orbit(CMPoint(order, start), p)
                 assert length == ord_p  # free: no start closes early
                 keys = {reduce_form(pt.cls).key() for pt in orbit}
                 assert len(keys) == length
@@ -376,7 +376,7 @@ def test_criterion_06_tree_suite():
             N3 = Poly.constant(F, 1)
             for _ in range(parts):
                 p = rng.choice(irreducibles(F, rng.randrange(1, 4)))
-                N3 = N3 * p.poly ** rng.randrange(1, 3)
+                N3 = N3 * p ** rng.randrange(1, 3)
             assert bigdegree_bound(N3, mode="norm") <= bigdegree_bound(
                 N3, mode="norm_plus_one"
             )
@@ -610,10 +610,10 @@ def test_criterion_10_heegner_search_and_tower():
         hK = class_number_zeta(K0)
         assert hs[0] == hK
         for j, lev in enumerate(tower):
-            assert lev.order.conductor == p.poly**j
+            assert lev.order.conductor == p**j
             assert lev.ideal.a == n  # the norm-n ideal survives every level
         c.note(
-            f"10 fields re-validated; tower h = {hs} with chi({p.poly.text()}) = {chi}"
+            f"10 fields re-validated; tower h = {hs} with chi({p.text()}) = {chi}"
         )
 
 

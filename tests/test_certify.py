@@ -37,13 +37,13 @@ def _point(m_text, f_text="1"):
 def test_admissible_prime_skips_below_norm_floor():
     hyp = CurveHypothesis.make(F3, 1, 2, 1, (_point("T"), _point("T+1")))
     prime, trace = find_admissible_prime(hyp)
-    assert prime.poly.degree == 4  # 3^2 = 9 < 13 <= 3^4
+    assert prime.degree == 4  # 3^2 = 9 < 13 <= 3^4
     assert trace[0] == {"degree": 2, "reason": "norm_below_floor"}
     assert jacobi_symbol(parse_poly(F3, "T"), prime) == 1
     assert jacobi_symbol(parse_poly(F3, "T+1"), prime) == 1
     # canonical: every smaller degree-4 prime is rejected for a reason
     for p in irreducibles(F3, 4):
-        if p.poly.code == prime.poly.code:
+        if p.code == prime.code:
             break
         assert (
             jacobi_symbol(parse_poly(F3, "T"), p) != 1
@@ -54,7 +54,7 @@ def test_admissible_prime_skips_below_norm_floor():
 def test_admissible_prime_empty_hypothesis():
     hyp = CurveHypothesis.make(F3, 1, 2, 1, ())
     prime, _ = find_admissible_prime(hyp)
-    assert prime.poly.code == irreducibles(F3, 4)[0].poly.code
+    assert prime.code == irreducibles(F3, 4)[0].code
 
 
 def test_adversarial_conductor_forces_degree_six():
@@ -62,10 +62,10 @@ def test_adversarial_conductor_forces_degree_six():
     blocker = ONE
     for p in irreducibles(F3, 4):
         if jacobi_symbol(m, p) == 1:
-            blocker = blocker * p.poly
+            blocker = blocker * p
     hyp = CurveHypothesis.make(F3, 1, 2, 1, (_point("T", blocker.text()),))
     prime, trace = find_admissible_prime(hyp)
-    assert prime.poly.degree == 6
+    assert prime.degree == 6
     deg4 = next(e for e in trace if e["degree"] == 4)
     assert "accepted" not in deg4
     assert any(r.startswith("divides_conductor") for r in deg4["rejected"])
@@ -183,7 +183,7 @@ def test_worst_unit_product_values_and_minimality():
 def _unit_product(f):
     prod = Fraction(1)
     for p, _ in factor_monic(f):
-        prod *= Fraction(p.poly.norm - 1, p.poly.norm)
+        prod *= Fraction(p.norm - 1, p.norm)
     return prod
 
 

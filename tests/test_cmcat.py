@@ -188,8 +188,8 @@ def test_orbit_length_equals_element_order():
     point = _point("T", "T+1")
     cg = class_group(point.order)
     p = find_split_prime(point.order)
-    orbit, length = galois_orbit(point, p.poly)
-    assert length == cg.element_order(split_prime_form(point.order, p.poly))
+    orbit, length = galois_orbit(point, p)
+    assert length == cg.element_order(split_prime_form(point.order, p))
     assert len(orbit) == length
     # free action: orbit points pairwise distinct
     keys = {pt.cls.key() for pt in orbit}
@@ -202,11 +202,11 @@ def test_order_two_class_double_step():
     cg = class_group(point.order)
     assert cg.h == 2
     p = find_split_prime(point.order)
-    form = split_prime_form(point.order, p.poly)
+    form = split_prime_form(point.order, p)
     if cg.element_order(form) == 2:
-        once = galois_isogeny_step(point, p.poly)
+        once = galois_isogeny_step(point, p)
         assert once.cls.key() != point.cls.key()
-        twice = galois_isogeny_step(once, p.poly)
+        twice = galois_isogeny_step(once, p)
         assert twice.cls.key() == point.cls.key()
 
 
@@ -238,7 +238,7 @@ def test_action_is_homomorphism():
         if quadratic_character(point.order.K.m, p) == 1
     ]
     assert len(splits) >= 2
-    n1, n2 = splits[0].poly, splits[1].poly
+    n1, n2 = splits[0], splits[1]
     lhs = galois_isogeny_step(galois_isogeny_step(point, n1), n2)
     rhs = galois_isogeny_step(point, n1 * n2)
     assert lhs.cls.key() == rhs.cls.key()
@@ -277,13 +277,13 @@ def test_orbit_equals_iterated_steps():
     p = find_split_prime(order)
     keys = {}
     for conjugate in (False, True):
-        orbit, length = galois_orbit(point, p.poly, conjugate)
+        orbit, length = galois_orbit(point, p, conjugate)
         assert length == cg.h == 14
         cur, stepped = point, [point]
         for _ in range(length - 1):
-            cur = galois_isogeny_step(cur, p.poly, conjugate)
+            cur = galois_isogeny_step(cur, p, conjugate)
             stepped.append(cur)
-        assert galois_isogeny_step(cur, p.poly, conjugate).cls.key() == point.cls.key()
+        assert galois_isogeny_step(cur, p, conjugate).cls.key() == point.cls.key()
         keys[conjugate] = [pt.cls.key() for pt in orbit]
         assert keys[conjugate] == [pt.cls.key() for pt in stepped]
     # the conjugate prime acts by the inverse class: the same cycle reversed
@@ -316,5 +316,5 @@ def test_orbit_lengths_divide_h(idx):
     cg = class_group(order)
     point = CMPoint(order, principal_form(order))
     p = find_split_prime(order)
-    _, length = galois_orbit(point, p.poly)
+    _, length = galois_orbit(point, p)
     assert cg.h % length == 0

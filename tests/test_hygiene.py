@@ -1,10 +1,13 @@
-"""Source hygiene: imports in src/cmtk are read, re-exports have users.
+"""Source hygiene: imports in src/cmtk are read, re-exports have users,
+and the functions the benchmark tracer wraps exist.
 
 __init__.py is left out of the unused-import check: its imports are the
 re-exported public API, which has a check of its own.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -71,3 +74,30 @@ def test_reexports_have_users():
         if name not in used and not _is_typed_error(getattr(cmtk, name))
     ]
     assert unused == []
+
+
+def traced_names(source):
+    """(module, name) pairs of the OWN table in perfbench/tracer.py's source."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["OWN"]:
+            table = ast.literal_eval(node.value)
+            return sorted((mod, name) for mod, names in table.items() for name in names)
+    raise AssertionError("no OWN table")
+
+
+def missing_functions(pairs):
+    """The (module, name) pairs that are not a function of cmtk.<module>."""
+    return [
+        (mod, name)
+        for mod, name in pairs
+        if not inspect.isfunction(getattr(importlib.import_module(f"cmtk.{mod}"), name, None))
+    ]
+
+
+def test_traced_functions_exist():
+    # the traced benchmark getattrs these names: a rename would crash it
+    pairs = traced_names((ROOT / "perfbench" / "tracer.py").read_text())
+    assert ("splitcount", "count_split_primes") in pairs
+    assert missing_functions(pairs) == []
+    renamed = [("quadfield", "class_number_zeta_renamed"), ("splitcount", "SplittingSpec")]
+    assert missing_functions(renamed) == renamed

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmtk.errors import DomainError, FieldRejected
-from cmtk.ffpoly import Fq, Poly, irreducibles, parse_poly
+from cmtk import quadfield
+from cmtk.errors import BudgetError, DomainError, FieldRejected
+from cmtk.ffpoly import Fq, Poly, irreducible_count, irreducibles, jacobi_symbol, parse_poly
 from cmtk.quadfield import analyze_quadratic
 from cmtk.splitcount import (
     DensityWindow,
@@ -49,13 +50,94 @@ def _digits(code, q):
 def _splits_by_residue_ring(m, p):
     """Oracle: p splits iff m is a nonzero square in F_q[T]/(p)."""
     field = m.field
-    qt = field.q ** p.poly.degree
+    qt = field.q ** p.degree
     squares = set()
     for code in range(1, qt):
         r = Poly.make(field, _digits(code, field.q))
-        squares.add(((r * r) % p.poly).coeffs)
-    residue = (m % p.poly).coeffs
+        squares.add(((r * r) % p).coeffs)
+    residue = (m % p).coeffs
     return residue != () and residue in squares
+
+
+def _brute_force_split_count(spec, t):
+    """Oracle: sieve every monic prime of degree t, test each radicand's symbol."""
+    return sum(
+        1
+        for p in irreducibles(spec.field, t)
+        if all(jacobi_symbol(m, p) == 1 for m in spec.radicands)
+    )
+
+
+def _oracle_specs(field):
+    """Radicand lists with every shape the point counter must get right.
+
+    w is a non-prime-field element for q = 9, 25 (so clog's subfield
+    embedding is exercised) and -1 otherwise; c is a non-square.
+    """
+    q, c = field.q, field.canonical_nonsquare()
+    w = field.p if field.e > 1 else q - 1
+    lin = (0, 1)  # T: a ramified prime of degree 1
+    inert = (0, c, c)  # c (T^2 + T): non-monic, shares the factor T with lin
+    lin_quad = (0, field.neg(c), 0, 1)  # T (T^2 - c): ramified in degrees 1 and 2
+    cubic = next(
+        (w, a1, 0, 1) for a1 in range(q) if Poly.make(field, (w, a1, 0, 1)).is_squarefree()
+    )
+    scaled = tuple(field.mul(w, a) for a in cubic)  # non-monic, non-prime-field leading
+    twisted = tuple(field.mul(c, a) for a in cubic)  # cubic and twisted: n_c = 2
+    rads = [
+        [],
+        [lin],
+        [inert],
+        [lin_quad],
+        [lin, inert],
+        [scaled],
+        [cubic, twisted],
+        [lin, inert, scaled],
+        [lin_quad, cubic, twisted],
+    ]
+    return [SplittingSpec.make(field, [Poly.make(field, m) for m in ms]) for ms in rads]
+
+
+ORACLE_DEGREES = {(3, 1): 6, (5, 1): 4, (7, 1): 4, (3, 2): 4, (5, 2): 3}
+
+
+@pytest.mark.parametrize("p, e", sorted(ORACLE_DEGREES))
+def test_point_counter_matches_brute_force(p, e):
+    field = Fq(p, e)
+    specs = _oracle_specs(field)
+    assert {spec.n_c for spec in specs} == {1, 2}
+    assert {len(spec.radicands) for spec in specs} == {0, 1, 2, 3}
+    for spec in specs:
+        for t in range(1, ORACLE_DEGREES[(p, e)] + 1):
+            exact = count_split_primes(spec, t)
+            where = (field.q, [m.text() for m in spec.radicands], t)
+            assert exact == _brute_force_split_count(spec, t), where
+            if not spec.radicands:
+                assert exact == irreducible_count(field.q, t), where
+            if spec.n_c == 2 and t % 2:
+                assert exact == 0, where
+
+
+def test_ramified_primes_of_degree_t_do_not_split():
+    # T is ramified in k(sqrt T): of the q linear primes, T itself and the
+    # (q - 1)/2 translates T + a with -a a non-square are not split
+    for q in (3, 5, 7, 11):
+        assert count_split_primes(SplittingSpec.make(Fq(q), ["T"]), 1) == (q - 1) // 2
+
+
+def test_split_count_budget_refused_before_any_table():
+    spec = SplittingSpec.make(F3, ["T", "T+1"])
+    built = quadfield._ext_tables.cache_info().misses
+    with pytest.raises(BudgetError) as err:
+        split_audit(spec, 30)
+    assert err.value.info == {"q": 3, "t": 30, "budget": 10**7}
+    assert quadfield._ext_tables.cache_info().misses == built
+    # t q^t is the bound: a budget equal to it passes, one less is refused
+    assert count_split_primes(spec, 2, budget=18) == count_split_primes(spec, 2)
+    with pytest.raises(BudgetError):
+        count_split_primes(spec, 2, budget=17)
+    with pytest.raises(DomainError):
+        count_split_primes(spec, 0)
 
 
 def test_castelnuovo_examples():

@@ -79,51 +79,62 @@ class FqSpec:
     digit string of the residue written on the power basis of T modulo
     `modulus`, the canonical primitive modulus: the code-smallest monic
     irreducible of degree e over F_p whose residue class of T generates
-    the multiplicative group.  Since T is then a generator, exp/log
-    tables drive multiplication.
+    the multiplicative group.  Since T is then a generator g, every
+    operation is a table lookup on discrete logarithms, n = q - 1:
+
+    * _log[c] = log_g c for c != 0, and _log[0] = 2n;
+    * _exp[k] = g^(k mod n) for 0 <= k < 2n, and 0 on 2n <= k < 3n, so a
+      zero factor (log 2n) plus any log below n lands on 0;
+    * _zech[k] = log_g(1 + g^k) for 0 <= k < n, or 2n at k = n/2, where
+      1 + g^k = 0 since -1 = g^(n/2); a log difference in (-n, n) indexes
+      it directly through Python's negative indices;
+    * _neg[c] = -c = g^(log c + n/2).
+
+    Then g^x + g^y = _exp[x + _zech[y - x]] for x, y < n.  The k* kernels
+    read these tables inline.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_leg")
+    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech", "_neg", "_leg")
 
     def __init__(self, p, e, modulus, exp, log):
         self.p = p
         self.e = e
         self.q = p**e
         self.modulus = modulus  # coefficient tuple over F_p, None for e == 1
-        self._exp = exp
-        self._log = log
         if e == 1:
+            self._exp = self._log = self._zech = self._neg = None
             self._leg = tuple(
                 0 if c == 0 else (1 if pow(c, (p - 1) // 2, p) == 1 else -1)
                 for c in range(p)
             )
-        else:
-            self._leg = tuple(
-                0 if c == 0 else (1 if log[c] % 2 == 0 else -1) for c in range(self.q)
-            )
+            return
+        n = self.q - 1
+        self._exp = exp = tuple(exp) * 2 + (0,) * n
+        self._log = log = (2 * n, *log[1:])
+        # 1 + g^k: the code is F_p-linear and 1 has code 1, so only the
+        # lowest base-p digit changes
+        self._zech = tuple(log[v - v % p + (v + 1) % p] for v in exp[:n])
+        self._neg = tuple(exp[x + n // 2] for x in log)
+        self._leg = tuple(
+            0 if c == 0 else (1 if log[c] % 2 == 0 else -1) for c in range(self.q)
+        )
 
     # -- element operations (codes in, codes out) ---------------------------
 
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.e):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if not a:
+            return b
+        if not b:
+            return a
+        x = self._log[a]
+        return self._exp[x + self._zech[self._log[b] - x]]
 
     def neg(self, a):
         if self.e == 1:
             return (-a) % self.p
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.e):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._neg[a]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -133,7 +144,7 @@ class FqSpec:
             return a * b % self.p
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:
@@ -226,7 +237,7 @@ def _fq_interned(p, e):
         exp[i] = code
         log[code] = i
         cur = kmod(base, kmulx(cur), modulus)
-    return FqSpec(p, e, modulus, tuple(exp), tuple(log))
+    return FqSpec(p, e, modulus, exp, log)
 
 
 def fq_from_q(q):
@@ -287,10 +298,16 @@ def kadd(F, a, b):
         for i, c in enumerate(b):
             out[i] = (out[i] + c) % p
     else:
-        add = F.add
+        exp, log, zech = F._exp, F._log, F._zech
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = add(out[i], c)
+            if c:
+                o = out[i]
+                if o:
+                    x = log[o]
+                    out[i] = exp[x + zech[log[c] - x]]
+                else:
+                    out[i] = c
     return ktrim(out)
 
 
@@ -298,7 +315,7 @@ def kneg(F, a):
     if F.e == 1:
         p = F.p
         return tuple((-c) % p for c in a)
-    return tuple(F.neg(c) for c in a)
+    return tuple(map(F._neg.__getitem__, a))
 
 
 def ksub(F, a, b):
@@ -311,8 +328,9 @@ def kscale(F, a, c):
     if F.e == 1:
         p = F.p
         return tuple(x * c % p for x in a)
-    mul = F.mul
-    return tuple(mul(x, c) for x in a)
+    exp, log = F._exp, F._log
+    y = log[c]
+    return tuple(exp[log[x] + y] for x in a)
 
 
 def kmul(F, a, b):
@@ -326,12 +344,19 @@ def kmul(F, a, b):
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return ktrim([v % p for v in out])
-    mul, add = F.mul, F.add
+    exp, log, zech, n = F._exp, F._log, F._zech, F.q - 1
+    logs_b = [(j, log[bj]) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
+            x = log[ai]
+            for j, y in logs_b:
+                k, s = i + j, x + y  # a_i b_j = g^s
+                o = out[k]
+                if o:
+                    z = log[o]
+                    out[k] = exp[z + zech[(s - z) % n]]
+                else:
+                    out[k] = exp[s]
     return ktrim(out)
 
 
@@ -341,8 +366,8 @@ def kdivmod(F, a, b):
     da, db = len(a) - 1, len(b) - 1
     if da < db:
         return (), a
-    inv_lc = F.inv(b[-1])
     if F.e == 1:
+        inv_lc = F.inv(b[-1])
         p = F.p
         rem = list(a)
         quot = [0] * (da - db + 1)
@@ -354,16 +379,26 @@ def kdivmod(F, a, b):
                 for j in range(db + 1):
                     rem[i + j] = (rem[i + j] - c * b[j]) % p
         return ktrim(quot), ktrim(rem[:db])
-    mul, sub = F.mul, F.sub
+    # subtracting (c / lc(b)) b_j adds g^(log c + m_j), where
+    # m_j = log b_j - log lc(b) + n/2; the top term cancels and is not read again
+    exp, log, zech, n = F._exp, F._log, F._zech, F.q - 1
+    lc = log[b[-1]]
+    logs_b = [(j, (log[bj] - lc + n // 2) % n) for j, bj in enumerate(b[:-1]) if bj]
     rem = list(a)
     quot = [0] * (da - db + 1)
     for i in range(da - db, -1, -1):
         c = rem[i + db]
         if c:
-            c = mul(c, inv_lc)
-            quot[i] = c
-            for j in range(db + 1):
-                rem[i + j] = sub(rem[i + j], mul(c, b[j]))
+            x = log[c]
+            quot[i] = exp[x - lc + n]
+            for j, y in logs_b:
+                k, s = i + j, x + y
+                o = rem[k]
+                if o:
+                    z = log[o]
+                    rem[k] = exp[z + zech[(s - z) % n]]
+                else:
+                    rem[k] = exp[s]
     return ktrim(quot), ktrim(rem[:db])
 
 
@@ -601,6 +636,8 @@ def kjacobi(F, a, b):
     if not b or b[-1] != 1:
         raise DomainError("kjacobi needs a monic lower argument")
     recip_sign_active = ((F.q - 1) // 2) % 2 == 1  # q = 3 mod 4
+    if F.e == 1:
+        return _kjacobi_prime(F.p, F._leg, recip_sign_active, list(a), list(b))
     result = 1
     a = kmod(F, a, b)
     while True:
@@ -619,6 +656,42 @@ def kjacobi(F, a, b):
         if recip_sign_active and da % 2 == 1 and db % 2 == 1:
             result = -result
         a, b = kmod(F, b, a0), a0
+
+
+def _kjacobi_prime(p, leg, recip_sign_active, a, b):
+    """kjacobi over F_p on lists: the same chain as the generic body.
+
+    The divisor is always monic, so each remainder step needs no inverse;
+    coefficients are reduced mod p only when read as a pivot or once the
+    remainder is complete.
+    """
+    result = 1
+    while True:
+        db = len(b) - 1
+        if db == 0:
+            return result
+        for i in range(len(a) - 1 - db, -1, -1):  # a <- a mod b
+            c = a[i + db] % p
+            if c:
+                for j in range(db):
+                    a[i + j] -= c * b[j]
+        a = [c % p for c in a[:db]]
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return 0
+        lc = a[-1]
+        da = len(a) - 1
+        if leg[lc] == -1 and db % 2 == 1:
+            result = -result
+        if da == 0:
+            return result
+        if lc != 1:
+            inv = pow(lc, -1, p)
+            a = [c * inv % p for c in a]
+        if recip_sign_active and da % 2 == 1 and db % 2 == 1:
+            result = -result
+        a, b = b, a
 
 
 # ---------------------------------------------------------------------------

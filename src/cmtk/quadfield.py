@@ -30,6 +30,7 @@ conductor formula h(R) = h_K |f| prod_{p | f} (1 - chi(p)/|p|).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from array import array
 from dataclasses import dataclass
@@ -292,10 +293,18 @@ def class_number_zeta(K, budget=DEFAULT_ENUM_BUDGET):
 
 @dataclass(frozen=True, slots=True)
 class QuadOrder:
-    """The order R = A + f O_K inside K, modeled as A[sqrt(D)], D = f^2 m."""
+    """The order R = A + f O_K inside K, modeled as A[sqrt(D)], D = f^2 m.
+
+    D is set once at construction; equality and hashing read K and the
+    conductor only, which determine it.
+    """
 
     K: ImagQuadField
     conductor: Poly
+    D: Poly = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "D", self.conductor * self.conductor * self.K.m)
 
     @classmethod
     def make(cls, K, conductor=None):
@@ -306,10 +315,6 @@ class QuadOrder:
         if conductor.is_zero or not conductor.is_monic:
             raise DomainError("conductor must be monic and nonzero")
         return cls(K, conductor)
-
-    @property
-    def D(self):
-        return self.conductor * self.conductor * self.K.m
 
     @property
     def is_maximal(self):
@@ -354,6 +359,11 @@ class FormClass:
 
     Corresponds to the R-ideal aA + (b + sqrt(D))A; the third coefficient
     is c = (b^2 - D)/a.  Invertible (proper) iff gcd(a, b, c) = 1.
+
+    gcd(a, f) = 1 already proves it, f the conductor: g = gcd(a, b, c)
+    has g^2 | b^2 - ac = D = f^2 m, and m is squarefree, so every prime
+    of g divides f as well as a.  Maximal orders (f = 1) thus never
+    compute c; only when a shares a prime with f does the full gcd run.
     """
 
     order: QuadOrder
@@ -378,9 +388,10 @@ class FormClass:
 
     @property
     def is_invertible(self):
-        F = self.order.K.field
-        g = kgcd(F, kgcd(F, self.a.coeffs, self.b.coeffs), self.c.coeffs)
-        return g == (1,)
+        order, F, a = self.order, self.order.K.field, self.a.coeffs
+        if order.is_maximal or kgcd(F, a, order.conductor.coeffs) == (1,):
+            return True
+        return kgcd(F, kgcd(F, a, self.b.coeffs), self.c.coeffs) == (1,)
 
     @property
     def is_reduced(self):

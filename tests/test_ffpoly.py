@@ -1,6 +1,7 @@
 """Base arithmetic: F_q codes, polynomial kernels, factoring, characters."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,11 +18,16 @@ from cmtk.ffpoly import (
     irreducibles,
     jacobi_symbol,
     kchar,
+    kadd,
     kdec,
+    kdivmod,
     kenc,
+    kgcd,
     kjacobi,
     kmul,
     kscale,
+    ksub,
+    kxgcd,
     monic_polys,
     parse_poly,
     poly_from_json,
@@ -309,3 +315,153 @@ def test_enc_dec_round_trip(code):
 def test_prime_norm():
     assert as_prime(F3, "T^2+1").norm == 9
     assert math.isclose(as_prime(F5, "T").norm, 5)
+
+
+# ---------------------------------------------------------------------------
+# table arithmetic of F_{p^e} against base-p digits
+
+TABLE_QS = (9, 25, 27, 49, 81, 125)
+
+
+def digit_add(F, a, b):
+    """Sum of two codes digit by digit mod p (no tables)."""
+    p, out, mult = F.p, 0, 1
+    for _ in range(F.e):
+        out += ((a + b) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return out
+
+
+def digit_neg(F, a):
+    p, out, mult = F.p, 0, 1
+    for _ in range(F.e):
+        out += ((-a) % p) * mult
+        a //= p
+        mult *= p
+    return out
+
+
+def digit_mul(F, a, b):
+    """Product of two codes as F_p-polynomials reduced mod F.modulus (no tables)."""
+    p, e, mod = F.p, F.e, F.modulus
+    x = [(a // p**i) % p for i in range(e)]
+    y = [(b // p**i) % p for i in range(e)]
+    prod = [0] * (2 * e - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            prod[i + j] += xi * yj
+    for k in range(2 * e - 2, e - 1, -1):
+        c = prod[k] % p
+        for j in range(e + 1):
+            prod[k - e + j] -= c * mod[j]
+    return sum((c % p) * p**i for i, c in enumerate(prod[:e]))
+
+
+@pytest.mark.parametrize("q", TABLE_QS)
+def test_field_tables_match_digit_arithmetic(q):
+    F = fq_from_q(q)
+    for a in range(q):
+        assert F.neg(a) == digit_neg(F, a)
+        for b in range(q):
+            assert F.add(a, b) == digit_add(F, a, b)
+            assert F.sub(a, b) == digit_add(F, a, digit_neg(F, b))
+            assert F.mul(a, b) == digit_mul(F, a, b)
+
+
+class Schoolbook:
+    """Polynomials over F_q on coefficient lists, from the digit helpers only."""
+
+    def __init__(self, F):
+        q = F.q
+        self.addt = [[digit_add(F, a, b) for b in range(q)] for a in range(q)]
+        self.mult = [[digit_mul(F, a, b) for b in range(q)] for a in range(q)]
+        self.negt = [digit_neg(F, a) for a in range(q)]
+        self.invt = [None] + [self.mult[a].index(1) for a in range(1, q)]
+
+    @staticmethod
+    def trim(c):
+        c = list(c)
+        while c and c[-1] == 0:
+            c.pop()
+        return tuple(c)
+
+    def add(self, a, b):
+        n = max(len(a), len(b))
+        a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+        return self.trim(self.addt[x][y] for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return self.add(a, [self.negt[y] for y in b])
+
+    def scale(self, a, c):
+        return self.trim(self.mult[x][c] for x in a)
+
+    def mul(self, a, b):
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = self.addt[out[i + j]][self.mult[x][y]]
+        return self.trim(out)
+
+    def divmod(self, a, b):
+        rem, db = list(a), len(b) - 1
+        quot = [0] * max(len(a) - db, 0)
+        for i in range(len(a) - 1 - db, -1, -1):
+            c = self.mult[rem[i + db]][self.invt[b[-1]]]
+            quot[i] = c
+            for j, y in enumerate(b):
+                rem[i + j] = self.addt[rem[i + j]][self.negt[self.mult[c][y]]]
+        return self.trim(quot), self.trim(rem[:db])
+
+    def monic(self, a):
+        return self.scale(a, self.invt[a[-1]]) if a else a
+
+    def gcd(self, a, b):
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.monic(a)
+
+    def xgcd(self, a, b):
+        (r0, u0, v0), (r1, u1, v1) = (a, (1,), ()), (b, (), (1,))
+        while r1:
+            quo, r = self.divmod(r0, r1)
+            (r0, u0, v0), (r1, u1, v1) = (r1, u1, v1), (
+                r,
+                self.sub(u0, self.mul(quo, u1)),
+                self.sub(v0, self.mul(quo, v1)),
+            )
+        if not r0:
+            return (), u0, v0
+        c = self.invt[r0[-1]]
+        return self.scale(r0, c), self.scale(u0, c), self.scale(v0, c)
+
+
+@pytest.mark.parametrize("q", TABLE_QS)
+def test_kernels_match_schoolbook_on_digits(q):
+    F = fq_from_q(q)
+    ref = Schoolbook(F)
+    rng = random.Random(q)
+
+    def poly(deg, top=None):
+        if deg < 0:
+            return ()
+        return tuple(rng.randrange(q) for _ in range(deg)) + (top or rng.randrange(1, q),)
+
+    for k in range(3000):
+        a = poly(rng.randrange(-1, 8))
+        kind = k % 3  # zero, monic and non-monic divisors in turn
+        b = () if kind == 0 else poly(rng.randrange(0, 5), 1 if kind == 1 else None)
+        c = rng.randrange(q)
+        assert kadd(F, a, b) == ref.add(a, b)
+        assert ksub(F, a, b) == ref.sub(a, b)
+        assert kscale(F, a, c) == ref.scale(a, c)
+        assert kmul(F, a, b) == ref.mul(a, b)
+        assert kgcd(F, a, b) == ref.gcd(a, b)
+        assert kxgcd(F, a, b) == ref.xgcd(a, b)
+        if b:
+            assert kdivmod(F, a, b) == ref.divmod(a, b)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                kdivmod(F, a, b)

@@ -17,6 +17,7 @@ from cmtk.ffpoly import (
     kdec,
     kmod,
     kmul,
+    monic_polys,
     poly_from_text,
     quadratic_character,
 )
@@ -36,6 +37,7 @@ from cmtk.quadfield import (
     point_count,
     principal_form,
     reduce_form,
+    sqrtmod,
     zeta_numerator,
 )
 
@@ -342,6 +344,43 @@ def test_invertibility_excludes_conductor_divisors():
     bad = FormClass(order, P3("T"), P3("0"))
     assert not bad.is_invertible
     assert all(f.is_invertible for f in enumerate_reduced_forms(order))
+
+
+def test_order_sets_D_once_and_keeps_equality():
+    K = analyze_quadratic(F3, "T^3+2*T+1")
+    f = P3("T^2+1")
+    order, again = QuadOrder.make(K, f), QuadOrder.make(K, "T^2+1")
+    assert order.D == f * f * K.m
+    assert QuadOrder.make(K).D == K.m
+    assert order == again and hash(order) == hash(again)
+    assert order != QuadOrder.make(K, "T+1")
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_invertibility_shortcut_matches_full_gcd(q):
+    # is_invertible accepts on gcd(a, f) = 1 and runs the full gcd(a, b, c)
+    # only when a shares a prime with the conductor f; check it against
+    # the full gcd on every reduced (a, b), for conductors with one prime,
+    # a repeated prime and two distinct primes
+    F = fq_from_q(q)
+    T, one = Poly(F, (0, 1)), Poly.constant(F, 1)
+    shared = {True: 0, False: 0}  # forms with gcd(a, f) != 1, by invertibility
+    for degree in (1, 3):
+        K = analyze_quadratic(F, _imaginary_radicands(F, degree)[0])
+        for f in (T + 1, T * T, T * (T + 1)):
+            order = QuadOrder.make(K, f)
+            D = order.D
+            for d in range(order.genus_parameter + 1):
+                for a in monic_polys(F, d):
+                    for b in sqrtmod(F, D.coeffs, a.coeffs):
+                        b = Poly(F, b)
+                        full = a.gcd(b).gcd((b * b - D) // a) == one
+                        assert FormClass(order, a, b).is_invertible == full
+                        if a.gcd(f) != one:
+                            shared[full] += 1
+    # a non-invertible form is hit, and so is an invertible one that
+    # only the full gcd can accept
+    assert shared[False] > 0 and shared[True] > 0
 
 
 def test_forms_budget():

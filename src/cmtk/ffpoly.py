@@ -367,7 +367,8 @@ def kdivmod(F, a, b):
     if da < db:
         return (), a
     if F.e == 1:
-        inv_lc = F.inv(b[-1])
+        lc = b[-1]
+        inv_lc = 1 if lc == 1 else F.inv(lc)
         p = F.p
         rem = list(a)
         quot = [0] * (da - db + 1)
@@ -536,17 +537,18 @@ def _kpth_root(F, f):
 
 
 def _edf(F, f, d):
-    """Split monic squarefree f, all of whose prime factors have degree d."""
+    """Split monic squarefree f, all of whose prime factors have degree d.
+
+    The candidates r are the non-constant residues mod f in canonical
+    order, codes q .. q^n - 1.  Some r splits f: by CRT one of them is 0
+    modulo one prime factor and 1 modulo another, so gcd(r, f) is proper.
+    """
     n = kdeg(f)
     if n == d:
         return [f]
     half = (F.q**d - 1) // 2
-    code = F.q  # first non-constant candidate in canonical order
-    while True:
-        r = kmod(F, kdec(F, code), f)
-        code += 1
-        if kdeg(r) < 1:
-            continue
+    for code in range(F.q, F.q**n):
+        r = kdec(F, code)
         g = kgcd(F, r, f)
         if 0 < kdeg(g) < n:
             return _edf(F, g, d) + _edf(F, kdiv_exact(F, f, g), d)
@@ -554,6 +556,7 @@ def _edf(F, f, d):
         g = kgcd(F, ksub(F, s, (1,)), f)
         if 0 < kdeg(g) < n:
             return _edf(F, g, d) + _edf(F, kdiv_exact(F, f, g), d)
+    raise AssertionError(f"equal-degree splitting found no split of a degree-{n} product")
 
 
 def _factor_squarefree(F, f):

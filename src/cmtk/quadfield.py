@@ -22,7 +22,11 @@ Class groups are computed two independent ways:
   D = f^2 m, composed by the classical extended-gcd composition and
   reduced by the degree-dropping step.  This path needs deg D odd
   (ramified type); inert fields go through the oracle and only for the
-  maximal order.
+  maximal order.  The forms are found by a walk over the monic a of
+  degree <= g_D as products of prime powers p^k in increasing code,
+  cut where D has no root mod p^k.  Roots mod p^k come from a table
+  built by squaring once per (q, p^k); roots mod a p^k are joined from
+  those mod a and mod p^k by CRT.  No composite modulus is tabled.
 
 Both are exact; tests pit one against the other and against the
 conductor formula h(R) = h_K |f| prod_{p | f} (1 - chi(p)/|p|).
@@ -43,11 +47,13 @@ from .ffpoly import (
     DEFAULT_ENUM_BUDGET,
     Poly,
     factor_monic,
+    irreducibles,
     jacobi_symbol,
     kadd,
     kdec,
     kdiv_exact,
     kenc,
+    kfactor_monic,
     kgcd,
     kmod,
     kmonic,
@@ -338,19 +344,69 @@ class QuadOrder:
 
 
 @functools.cache
-def _sqrt_table(field, a):
-    """Map r^2 mod a -> sorted tuple of residues r, cached per (field, a)."""
-    table = {}
-    for code in range(field.q ** (len(a) - 1)):
-        r = kdec(field, code)
-        sq = kmod(field, kmul(field, r, r), a)
-        table.setdefault(sq, []).append(r)
-    return {sq: tuple(sorted(rs, key=lambda r: kenc(field, r))) for sq, rs in table.items()}
+def _prime_power_roots(field, pk):
+    """Map r^2 mod pk -> canonically ordered tuple of residues r, for a prime power pk.
+
+    Only the r whose leading coefficient has the smaller code of {c, -c}
+    are squared; -r has the same square.  Values that share a prime with
+    pk need no special case: the table holds whatever roots they have.
+    """
+    q = field.q
+    table = {(): [()]}
+    for c in range(1, q):
+        if c < field.neg(c):
+            for j in range(len(pk) - 1):
+                for code in range(c * q**j, (c + 1) * q**j):
+                    r = kdec(field, code)
+                    table.setdefault(kmod(field, kmul(field, r, r), pk), []).extend(
+                        (r, kneg(field, r))
+                    )
+    by_code = functools.partial(kenc, field)
+    return {sq: tuple(sorted(rs, key=by_code)) for sq, rs in table.items()}
+
+
+@functools.cache
+def _crt_cofactor(field, a, pk):
+    """t = a^-1 mod pk, so that e = a t is the CRT idempotent: 0 mod a, 1 mod pk."""
+    _, u, _ = kxgcd(field, a, pk)
+    return kmod(field, u, pk)
+
+
+@functools.cache
+def _crt_roots(field, a, roots_a, pk, roots_pk):
+    """Roots mod a pk from roots mod a and mod pk (coprime), canonically ordered.
+
+    r = r_a + e (r_pk - r_a) for the idempotent e = a t, where e x mod a pk
+    is a (t x mod pk); r is reduced mod a pk as it stands.
+    """
+    t = _crt_cofactor(field, a, pk)
+    out = [
+        kadd(field, ra, kmul(field, a, kmod(field, kmul(field, t, ksub(field, rp, ra)), pk)))
+        for ra in roots_a
+        for rp in roots_pk
+    ]
+    out.sort(key=functools.partial(kenc, field))
+    return tuple(out)
 
 
 def sqrtmod(field, value, a):
-    """All residues r mod a with r^2 = value (mod a), canonically ordered."""
-    return _sqrt_table(field, a).get(kmod(field, value, a), ())
+    """All residues r mod a with r^2 = value (mod a), canonically ordered.
+
+    Roots mod each prime power p^k || a come from its table and are
+    joined by CRT, primes in increasing code as in the forms walk.
+    """
+    a = kmonic(field, a)[0]
+    modulus, roots = (1,), ((),)
+    for p, k in sorted(kfactor_monic(field, a).items(), key=lambda pm: kenc(field, pm[0])):
+        pk = p
+        for _ in range(k - 1):
+            pk = kmul(field, pk, p)
+        roots_pk = _prime_power_roots(field, pk).get(kmod(field, value, pk))
+        if roots_pk is None:
+            return ()
+        roots = roots_pk if modulus == (1,) else _crt_roots(field, modulus, roots, pk, roots_pk)
+        modulus = kmul(field, modulus, pk)
+    return roots
 
 
 @dataclass(frozen=True, slots=True)
@@ -527,14 +583,42 @@ def enumerate_reduced_forms(order, budget=DEFAULT_ENUM_BUDGET):
             budget=budget,
         )
     D = order.D.coeffs
+    # per prime p of degree <= g_D: (p^k, roots of D mod p^k) for k = 1, 2, ...
+    # up to degree g_D or the first p^k mod which D has no root
+    local = []
+    for d in range(1, gD + 1):
+        for p in irreducibles(F, d, budget):
+            powers, pk = [], p.coeffs
+            while len(pk) - 1 <= gD:
+                roots = _prime_power_roots(F, pk).get(kmod(F, D, pk))
+                if roots is None:
+                    break
+                powers.append((pk, roots))
+                pk = kmul(F, pk, p.coeffs)
+            if powers:
+                local.append(powers)
     out = []
-    for d in range(gD + 1):
-        for lower in range(F.q**d):
-            a = kdec(F, F.q**d + lower)
-            for b in sqrtmod(F, D, a):
-                form = FormClass(order, Poly(F, a), Poly(F, b))
-                if form.is_invertible:
-                    out.append(form)
+
+    def walk(a, roots, start):
+        """Emit the forms of a, then extend a by prime powers after local[start - 1]."""
+        A = Poly(F, a)
+        for b in roots:
+            form = FormClass(order, A, Poly(F, b))
+            if form.is_invertible:
+                out.append(form)
+        room = gD - (len(a) - 1)
+        for i in range(start, len(local)):
+            if len(local[i][0][0]) - 1 > room:
+                break  # primes come by degree
+            for pk, roots_pk in local[i]:
+                if len(pk) - 1 > room:
+                    break
+                if a == (1,):
+                    walk(pk, roots_pk, i + 1)
+                else:
+                    walk(kmul(F, a, pk), _crt_roots(F, a, roots, pk, roots_pk), i + 1)
+
+    walk((1,), ((),), 0)
     out.sort(key=FormClass.key)
     return tuple(out)
 

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from cmtk.errors import BudgetError, DomainError
 from cmtk.ffpoly import (
     Fq,
+    _edf,
     Poly,
     PrimePoly,
     as_prime,
@@ -180,6 +181,27 @@ def test_factor_mixed_multiplicities():
     assert {(p.text(), m) for p, m in fac} == {("T", 3), ("T+2", 1), ("T^2+1", 2)}
     # canonical ordering: by degree then coefficients
     assert [p.text() for p, _ in fac] == ["T", "T+2", "T^2+1"]
+
+
+@pytest.mark.parametrize("q", [3, 9])
+def test_edf_splits_equal_degree_products(q):
+    # products of 2-4 distinct primes of one degree split into those primes
+    # within the bounded candidate range; a single prime of a larger degree
+    # than claimed exhausts it and fails loudly
+    F = fq_from_q(q)
+    rng = random.Random(q)
+    for d in (1, 2, 3) if q == 3 else (1, 2):
+        primes = [p.coeffs for p in irreducibles(F, d)]
+        for k in range(2, min(4, len(primes)) + 1):
+            for chosen in (primes[:k], primes[-k:], rng.sample(primes, k)):
+                f = (1,)
+                for p in chosen:
+                    f = kmul(F, f, p)
+                assert sorted(_edf(F, f, d), key=lambda p: kenc(F, p)) == sorted(
+                    chosen, key=lambda p: kenc(F, p)
+                )
+    with pytest.raises(AssertionError, match="no split"):
+        _edf(F, irreducibles(F, 2)[0].coeffs, 1)
 
 
 @given(st.integers(0, 3**4 - 1), st.integers(0, 3**4 - 1))

@@ -11,10 +11,12 @@ from cmtk.errors import BudgetError, FieldRejected, UnsupportedPath
 from cmtk.ffpoly import (
     Fq,
     Poly,
+    factor_monic,
     fq_from_q,
     irreducibles,
     kadd,
     kdec,
+    kenc,
     kmod,
     kmul,
     monic_polys,
@@ -381,6 +383,83 @@ def test_invertibility_shortcut_matches_full_gcd(q):
     # a non-invertible form is hit, and so is an invertible one that
     # only the full gcd can accept
     assert shared[False] > 0 and shared[True] > 0
+
+
+def _brute_sqrt_table(F, a):
+    """r^2 mod a -> residues r in code order, by squaring every residue mod a."""
+    table = {}
+    for code in range(F.q ** (len(a) - 1)):
+        r = kdec(F, code)
+        table.setdefault(kmod(F, kmul(F, r, r), a), []).append(r)
+    return {sq: tuple(rs) for sq, rs in table.items()}
+
+
+@pytest.mark.parametrize("q, top", [(3, 4), (5, 3), (9, 2), (25, 1)])
+def test_sqrtmod_matches_brute_force_table(q, top):
+    # every monic a of degree <= top; values zero, units (squares and
+    # not), multiples of each prime p | a and of p^2, and unreduced ones
+    F = fq_from_q(q)
+    rng = random.Random(q)
+    one = Poly.constant(F, 1)
+    seen = dict.fromkeys(("zero", "unit", "p", "p^2", "no root", "> 2 roots"), 0)
+    for d in range(top + 1):
+        for a in monic_polys(F, d):
+            table = _brute_sqrt_table(F, a.coeffs)
+            primes = factor_monic(a)
+
+            def residue():
+                return Poly(F, kdec(F, rng.randrange(F.q**d)))
+
+            squares = rng.sample(sorted(table), min(3, len(table)))
+            values = [Poly(F, ())] + [Poly(F, sq) for sq in squares]
+            values += [residue() for _ in range(2)]
+            values += [p * residue() for p, _ in primes]
+            values += [p * p * residue() for p, mult in primes if mult > 1]
+            for v in values:
+                v = v % a
+                expected = table.get(v.coeffs, ())
+                assert sqrtmod(F, v.coeffs, a.coeffs) == expected
+                assert sqrtmod(F, (v + a * residue()).coeffs, a.coeffs) == expected
+                g = v.gcd(a) if not v.is_zero else None
+                if g is None:
+                    seen["zero"] += 1
+                elif g == one:
+                    seen["unit"] += 1
+                else:
+                    seen["p^2" if any((g % (p * p)).is_zero for p, _ in primes) else "p"] += 1
+                seen["no root"] += not expected
+                seen["> 2 roots"] += len(expected) > 2
+    # a nonzero multiple of p needs deg a >= 2, one of p^2 deg a >= 3
+    required = ["zero", "unit", "no root"] + ["p", "> 2 roots"] * (top >= 2) + ["p^2"] * (top >= 3)
+    assert all(seen[kind] for kind in required), seen
+
+
+@pytest.mark.parametrize(
+    "q, m, f",
+    [
+        (3, "T^3+T", "T"),  # f shares T with m
+        (3, "T^3+2*T+1", "T^2"),  # repeated prime
+        (3, "T", "T^2"),  # both
+        (3, "T^3+2*T+1", "T^2+2*T+1"),  # (T+1)^2
+        (5, "T^3+T", "T^2+2*T"),  # two primes shared with m
+        (5, "T", "T^2+2*T+1"),
+        (9, "T", "T^2"),
+    ],
+)
+def test_reduced_forms_match_brute_force(q, m, f):
+    F = fq_from_q(q)
+    order = QuadOrder.make(analyze_quadratic(F, m), f)
+    D, one = order.D, Poly.constant(F, 1)
+    expected = []
+    for d in range(order.genus_parameter + 1):
+        for a in monic_polys(F, d):
+            for code in range(F.q**d):
+                b = Poly(F, kdec(F, code))
+                if ((b * b - D) % a).is_zero and a.gcd(b).gcd((b * b - D) // a) == one:
+                    expected.append((kenc(F, a.coeffs), code))
+    forms = enumerate_reduced_forms(order)
+    assert [form.key() for form in forms] == expected
+    assert len(forms) == order_class_number(order.K, f)[0]
 
 
 def test_forms_budget():

@@ -354,24 +354,23 @@ def _config_witness(q, d, F_deg, g, deg_f, level, t_budget):
       (B)  pi_lower_bound_genera(q, g, level, t)  >  deg_f
       (C)  pic_lower_bound_worst(q, g, deg_f) / F_deg > 4 (q^t + 1)^2 d^2
 
+    The right side of (C) grows with t, so only the first t passing (A)
+    and (B) needs testing against (C).
+
     Returns (t, None) on success, else (None, diagnosis).
     """
     floor = max(13, d)
     pic = pic_lower_bound_worst(q, g, deg_f) / F_deg
-    first_ab = None
     for t in range(2, t_budget + 1, 2):
         qt = q**t
         if qt < floor:
             continue
         if pi_lower_bound_genera(q, g, level, t) <= deg_f:
             continue
-        if first_ab is None:
-            first_ab = t
         if pic > _improper_threshold(qt, d):
             return t, None
-    if first_ab is None:
-        return None, {"failed": "split_prime_supply", "t_budget": t_budget}
-    return None, {"failed": "class_number_floor", "first_viable_t": first_ab}
+        return None, {"failed": "class_number_floor", "first_viable_t": t}
+    return None, {"failed": "split_prime_supply", "t_budget": t_budget}
 
 
 def minimal_height_bound(
@@ -380,7 +379,6 @@ def minimal_height_bound(
     q,
     grid=DEFAULT_HEIGHT_GRID,
     t_budget=DEFAULT_T_BUDGET,
-    window=STABLE_WINDOW,
 ):
     """Smallest grid height bound above which every CM shape certifies.
 
@@ -388,7 +386,7 @@ def minimal_height_bound(
     conductor degree).  A level is feasible when every split of it into
     (g, deg_f) admits a witnessing even t against the worst-case
     conductor shape and an adversarial partner coordinate of the same
-    height.  B is q^(last infeasible level + 1); at least `window`
+    height.  B is q^(last infeasible level + 1); at least STABLE_WINDOW
     feasible levels above it must fit inside the grid, otherwise the
     search fails loudly with the frontier.
     """
@@ -412,14 +410,14 @@ def minimal_height_bound(
             boundary = []
         elif not boundary:
             boundary = witnesses
-    if levels - last_bad <= window:
+    if levels - last_bad <= STABLE_WINDOW:
         raise BudgetError(
             "height grid exhausted before the feasible region stabilized",
             frontier={
                 "grid_levels": levels,
                 "last_infeasible_level": last_bad,
                 "failing_config": failing,
-                "window": window,
+                "window": STABLE_WINDOW,
             },
         )
     bound = q ** (last_bad + 1)
@@ -429,7 +427,7 @@ def minimal_height_bound(
         "F_deg": F_deg,
         "grid_levels": levels,
         "t_budget": t_budget,
-        "stabilization_window": window,
+        "stabilization_window": STABLE_WINDOW,
         "last_infeasible_level": last_bad,
         "last_failing_config": failing,
         "boundary_level": last_bad + 1,

@@ -130,7 +130,7 @@ def _cmd_cm_orbit(ns, field):
     prime = as_prime(field, ns.prime)
     point = CMPoint(order, start)
     orbit, length = galois_orbit(
-        point, prime, conjugate=ns.conjugate, max_steps=ns.max_steps
+        point, prime, conjugate=ns.conjugate, budget=ns.enum_budget
     )
     return {
         "q": ns.q,
@@ -197,7 +197,7 @@ def _cmd_hecke(ns, field):
         bounds = degree_bounds(ns.n_power, N, ns.deg_y, ns.deg_y2)
         result["degree_bounds"] = {k: str(v) for k, v in bounds.items()}
     if ns.covering:
-        orders = covering_group_orders(N, budget=ns.covering_budget)
+        orders = covering_group_orders(N, budget=ns.enum_budget)
         result["covering"] = {k: str(v) for k, v in orders.items()}
     return result
 
@@ -299,7 +299,6 @@ def _build_parser():
     p.add_argument("--a", default=None)
     p.add_argument("--b", default=None)
     p.add_argument("--conjugate", action="store_true")
-    p.add_argument("--max-steps", type=int, default=None)
 
     p = sub("tree", _cmd_tree)
     p.add_argument(
@@ -320,7 +319,6 @@ def _build_parser():
     p.add_argument("--deg-y2", type=int, default=None)
     p.add_argument("--n-power", type=int, default=2)
     p.add_argument("--covering", action="store_true")
-    p.add_argument("--covering-budget", type=int, default=81)
 
     p = sub("split-count", _cmd_split_count)
     p.add_argument("--radicands", default="")

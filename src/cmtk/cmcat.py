@@ -271,36 +271,35 @@ def galois_isogeny_step(point, n, conjugate=False):
     return CMPoint(point.order, reduce_form(compose_raw(point.cls, inverse)))
 
 
-def galois_orbit(point, p, conjugate=False, max_steps=None):
+def galois_orbit(point, p, conjugate=False, budget=DEFAULT_ENUM_BUDGET):
     """Orbit of a point under repeated sigma_p; returns (points, cycle length).
 
     The cycle length is the multiplicative order of [P] in Pic(R).  The
     acting ideal is built once; every step is one compose and reduce.
+    An orbit longer than budget steps raises BudgetError.
     """
     order = point.order
     inverse = _acting_inverse(order, p, conjugate)
     start_key = (reduce_form(point.cls) if not point.cls.is_reduced else point.cls).key()
     orbit = [point]
     cur = point
-    steps = 0
-    while True:
+    for steps in range(1, budget + 1):
         cur = CMPoint(order, reduce_form(compose_raw(cur.cls, inverse)))
-        steps += 1
         if cur.cls.key() == start_key:
             return orbit, steps
         orbit.append(cur)
-        if max_steps is not None and steps > max_steps:
-            raise BudgetError(
-                f"orbit did not close within {max_steps} steps", max_steps=max_steps
-            )
-        if steps > 10_000_000:
-            raise AssertionError("orbit failed to close")
+    raise BudgetError(
+        f"orbit did not close within {budget} steps", steps=budget, budget=budget
+    )
 
 
-def find_split_prime(order, min_degree=1, budget_degree=8):
+SPLIT_PRIME_MAX_DEGREE = 8
+
+
+def find_split_prime(order):
     """Code-smallest prime that splits in R and misses the conductor."""
     F = order.K.field
-    for t in range(min_degree, budget_degree + 1):
+    for t in range(1, SPLIT_PRIME_MAX_DEGREE + 1):
         for p in irreducibles(F, t):
             if jacobi_symbol(order.K.m, p) != 1:
                 continue
@@ -308,6 +307,6 @@ def find_split_prime(order, min_degree=1, budget_degree=8):
                 continue
             return p
     raise BudgetError(
-        f"no split prime of degree <= {budget_degree} found",
-        budget_degree=budget_degree,
+        f"no split prime of degree <= {SPLIT_PRIME_MAX_DEGREE} found",
+        budget_degree=SPLIT_PRIME_MAX_DEGREE,
     )

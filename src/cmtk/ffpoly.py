@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError
 
-DEFAULT_ENUM_BUDGET = 10_000_000
+DEFAULT_ENUM_BUDGET = 10**7
 MAX_Q = 1 << 16
 
 # ---------------------------------------------------------------------------
@@ -464,37 +464,9 @@ def kpow_mod(F, a, k, mod):
     return result
 
 
-def keval(F, a, x):
-    """Evaluate at a field element code (Horner)."""
-    if F.e == 1:
-        p = F.p
-        acc = 0
-        for c in reversed(a):
-            acc = (acc * x + c) % p
-        return acc
-    acc = 0
-    mul, add = F.mul, F.add
-    for c in reversed(a):
-        acc = add(mul(acc, x), c)
-    return acc
-
-
 def kderiv(F, a):
-    if len(a) < 2:
-        return ()
-    if F.e == 1:
-        p = F.p
-        return ktrim([(i * c) % p for i, c in enumerate(a)][1:])
-    out = []
-    for i, c in enumerate(a):
-        if i == 0:
-            continue
-        n = i % F.p
-        acc = 0
-        for _ in range(n):
-            acc = F.add(acc, c)
-        out.append(acc)
-    return ktrim(out)
+    # i mod p has the same code in F_p and, as a constant, in F_{p^e}
+    return ktrim([F.mul(i % F.p, a[i]) for i in range(1, len(a))])
 
 
 def kmonics(F, d):
@@ -716,10 +688,6 @@ class Poly:
     def constant(cls, field, c):
         return cls(field, ktrim((int(c) % field.q,)))
 
-    @classmethod
-    def gen(cls, field):
-        return cls(field, (0, 1))
-
     # equal values are equal whatever the subclass (a PrimePoly is a Poly)
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -829,12 +797,6 @@ class Poly:
     def gcd(self, other):
         other = self._lift(other)
         return Poly(self.field, kgcd(self.field, self.coeffs, other.coeffs))
-
-    def derivative(self):
-        return Poly(self.field, kderiv(self.field, self.coeffs))
-
-    def evaluate(self, x):
-        return keval(self.field, self.coeffs, x)
 
     def is_squarefree(self):
         return kis_squarefree(self.field, self.coeffs)
@@ -992,7 +954,10 @@ def factor_monic(f):
     """Factor a monic polynomial; list of (PrimePoly, multiplicity).
 
     Primes are sorted canonically; the product of prime powers equals f.
+    A PrimePoly is its own factorization: the type already certifies it.
     """
+    if isinstance(f, PrimePoly):
+        return [(f, 1)]
     if f.is_zero:
         raise DomainError("cannot factor the zero polynomial")
     if not f.is_monic:

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import BudgetError, DomainError
 from .ffpoly import (
+    DEFAULT_ENUM_BUDGET,
     Poly,
     factor_monic,
     kadd,
@@ -138,7 +139,7 @@ def count_avoiding_geodesics(tree, n, k_avoid):
 BIGDEGREE_MODES = ("norm_plus_one", "norm")
 
 
-def bigdegree_bound(n3_or_factors, mode="norm_plus_one", field=None):
+def bigdegree_bound(n3_or_factors, mode="norm_plus_one"):
     """Lower-bound factor prod_p (|p|-1) base^{n_p - 1} / (2 n_p + 1).
 
     mode "norm_plus_one" uses base |p|+1 (the displayed classical form);
@@ -288,7 +289,7 @@ def _residues(F, N):
     return [kdec(F, code) for code in range(F.q**N.degree)]
 
 
-def covering_group_orders(N, budget=81):
+def covering_group_orders(N, budget=DEFAULT_ENUM_BUDGET):
     """Orders of the Galois groups of the two standard covers at level N.
 
     Gal(Y(N)/M) is det-one-constant matrices mod constant scalars, of
@@ -297,6 +298,8 @@ def covering_group_orders(N, budget=81):
     fiber sizes of the product map over A/N (never by enumerating 2x2
     matrices), and checked against |SL2| = |N|^3 prod(1 - |p|^-2).
     When N is a prime of even degree the second group has PSL2 order.
+    The convolution takes |A/N|^2 products; a larger count than budget
+    raises BudgetError before anything is built.
     """
     F = N.field
     N = N.monic()
@@ -308,9 +311,9 @@ def covering_group_orders(N, budget=81):
             "gal_quotient_level": 1,
         }
     size = F.q**N.degree
-    if size > budget:
+    if size * size > budget:
         raise BudgetError(
-            f"residue ring of size {size} exceeds covering budget {budget}",
+            f"covering convolution needs {size * size} products > budget {budget}",
             ring_size=size,
             budget=budget,
         )

@@ -94,6 +94,21 @@ def test_orbit_length_equals_class_number(capsys):
     assert result["orbit"][0] == result["start"]
 
 
+def test_enum_budget_bounds_orbit_and_covering(capsys):
+    orbit = ["cm-orbit", "--q", "3", "--m", "T^3+2*T+1", "--f", "T", "--prime", "T+1"]
+    assert _run(orbit + ["--enum-budget", "14"], capsys)[0] == 0
+    code, _, err = _run(orbit + ["--enum-budget", "13"], capsys)
+    assert code == 3 and "budget" in err
+    # |A/T^5| = 243: the convolution takes 243^2 = 59049 products
+    hecke = ["hecke", "--q", "3", "--level", "T^5", "--covering"]
+    assert _result(hecke, capsys)["covering"]["ring_size"] == "243"
+    code, _, err = _run(hecke + ["--enum-budget", "59048"], capsys)
+    assert code == 3 and "budget" in err
+    # the per-command limits are gone
+    assert _run(orbit + ["--max-steps", "5"], capsys)[0] == 1
+    assert _run(hecke + ["--covering-budget", "81"], capsys)[0] == 1
+
+
 def test_every_subcommand_emits_valid_envelope(capsys):
     invocations = [
         ["factor", "--q", "3", "--poly", "2*T^4+2*T^2+1"],

@@ -229,6 +229,39 @@ def test_galois_action_accepts_library_primes():
     assert [pt.cls.key() for pt in orbit] == [pt.cls.key() for pt in plain_orbit]
 
 
+def test_orbit_factors_its_prime_once(monkeypatch):
+    # acting_ideal_form takes the PrimePoly as its own factorization, so
+    # sqrtmod's factoring of the prime is the only one
+    import cmtk.ffpoly as ffpoly
+    import cmtk.quadfield as quadfield
+
+    point = _point("T^3+2*T+1", "T")
+    p = find_split_prime(point.order)
+    factored = []
+    real = ffpoly.kfactor_monic
+
+    def counting(F, f):
+        if len(f) > 1:  # recursion ends on constants
+            factored.append(f)
+        return real(F, f)
+
+    monkeypatch.setattr(ffpoly, "kfactor_monic", counting)
+    monkeypatch.setattr(quadfield, "kfactor_monic", counting)
+    _, length = galois_orbit(point, p)
+    assert length == 14
+    assert factored == [p.coeffs]
+
+
+def test_orbit_budget_bounds_the_walk():
+    # h = 14 and [P] generates Pic(R): the orbit takes exactly 14 steps
+    point = _point("T^3+2*T+1", "T")
+    p = find_split_prime(point.order)
+    assert galois_orbit(point, p, budget=14)[1] == 14
+    with pytest.raises(BudgetError) as err:
+        galois_orbit(point, p, budget=13)
+    assert err.value.info == {"steps": 13, "budget": 13}
+
+
 def test_action_is_homomorphism():
     point = _point("T^3+2*T+1", "1")
     splits = [

@@ -21,6 +21,7 @@ from cmtk.ffpoly import (
     kchar,
     kadd,
     kdec,
+    kderiv,
     kdivmod,
     kenc,
     kgcd,
@@ -109,7 +110,7 @@ def test_field_constructor_rejects():
 
 
 def test_poly_basic_arith():
-    T = Poly.gen(F3)
+    T = parse_poly(F3, "T")
     f = 2 * T**3 + T + 1
     assert f.coeffs == (1, 1, 0, 2)
     assert f.degree == 3
@@ -145,9 +146,11 @@ def test_text_and_json_round_trip():
 
 def test_eval_and_derivative():
     f = P(F3, "T^3+2*T+1")
-    assert [f.evaluate(x) for x in range(3)] == [1, 1, 1]  # T^3+2T = 0 on F_3
-    assert f.derivative() == P(F3, "2")  # 3T^2 + 2 = 2
-    assert P(F3, "T^3+1").derivative().is_zero
+    T = parse_poly(F3, "T")
+    # f(x) is the remainder of f mod T - x; T^3+2T = 0 on F_3
+    assert [(f % (T - x)).coeffs for x in range(3)] == [(1,), (1,), (1,)]
+    assert kderiv(F3, f.coeffs) == (2,)  # 3T^2 + 2 = 2
+    assert kderiv(F3, P(F3, "T^3+1").coeffs) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +171,22 @@ def test_known_small_factorizations():
 
 def test_factor_inseparable_power():
     # f = (T+1)^3 has zero derivative over F_3
-    f = (Poly.gen(F3) + 1) ** 3
-    assert f.derivative().is_zero
+    f = (parse_poly(F3, "T") + 1) ** 3
+    assert kderiv(F3, f.coeffs) == ()
     fac = factor_monic(f)
     assert [(p.text(), m) for p, m in fac] == [("T+1", 3)]
 
 
+def test_factor_monic_returns_a_prime_as_is():
+    # a PrimePoly is certified by its type: no factorization runs
+    p = irreducibles(F3, 2)[0]
+    assert factor_monic(p)[0][0] is p
+    assert factor_monic(p) == [(p, 1)]
+    assert factor_monic(P(F3, p.text()))[0][0].witness == "split-recombine"
+
+
 def test_factor_mixed_multiplicities():
-    T = Poly.gen(F3)
+    T = parse_poly(F3, "T")
     f = (T**2 + 1) ** 2 * T**3 * (T + 2)
     fac = factor_monic(f)
     assert {(p.text(), m) for p, m in fac} == {("T", 3), ("T+2", 1), ("T^2+1", 2)}
@@ -440,6 +451,16 @@ class Schoolbook:
     def monic(self, a):
         return self.scale(a, self.invt[a[-1]]) if a else a
 
+    def deriv(self, a):
+        # i a_i as a_i added to itself i times
+        out = []
+        for i in range(1, len(a)):
+            acc = 0
+            for _ in range(i):
+                acc = self.addt[acc][a[i]]
+            out.append(acc)
+        return self.trim(out)
+
     def gcd(self, a, b):
         while b:
             a, b = b, self.divmod(a, b)[1]
@@ -482,6 +503,7 @@ def test_kernels_match_schoolbook_on_digits(q):
         assert kmul(F, a, b) == ref.mul(a, b)
         assert kgcd(F, a, b) == ref.gcd(a, b)
         assert kxgcd(F, a, b) == ref.xgcd(a, b)
+        assert kderiv(F, a) == ref.deriv(a)
         if b:
             assert kdivmod(F, a, b) == ref.divmod(a, b)
         else:

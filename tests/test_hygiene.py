@@ -1,5 +1,6 @@
 """Source hygiene: imports in src/cmtk are read, re-exports have users,
-and the functions the benchmark tracer wraps exist.
+defaulted parameters are set by some caller, and the functions the
+benchmark tracer wraps exist.
 
 __init__.py is left out of the unused-import check: its imports are the
 re-exported public API, which has a check of its own.
@@ -101,3 +102,86 @@ def test_traced_functions_exist():
     assert missing_functions(pairs) == []
     renamed = [("quadfield", "class_number_zeta_renamed"), ("splitcount", "SplittingSpec")]
     assert missing_functions(renamed) == renamed
+
+
+def defaulted_parameters(source):
+    """(function, parameter, position or None) for each defaulted parameter.
+
+    Methods drop self/cls, so positions count the arguments a call passes;
+    an __init__ is named by its class; keyword-only parameters have no
+    position.
+    """
+    out = []
+
+    def visit(body, cls=None):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args
+                params = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                if cls is not None and not static:
+                    params = params[1:]
+                name = cls if node.name == "__init__" else node.name
+                first = len(params) - len(args.defaults)
+                out.extend((name, a.arg, i) for i, a in enumerate(params) if i >= first)
+                out.extend(
+                    (name, a.arg, None)
+                    for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None
+                )
+                visit(node.body)
+
+    visit(ast.parse(source).body)
+    return out
+
+
+def calls_by_name(sources):
+    """Callee name (plain or attribute) -> the ast.Call nodes naming it."""
+    out = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                out.setdefault(name, []).append(node)
+    return out
+
+
+def unsupplied_defaults(def_sources, call_sources):
+    """ "function(parameter)" for each defaulted parameter no call passes."""
+    calls = calls_by_name(call_sources)
+
+    def supplied(call, param, index):
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        if index is None:
+            return False
+        return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+    return [
+        f"{name}({param})"
+        for source in def_sources
+        for name, param, index in defaulted_parameters(source)
+        if not any(supplied(call, param, index) for call in calls.get(name, ()))
+    ]
+
+
+def test_default_checker_flags_unset_parameters():
+    defs = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0):\n        pass\n"
+        "    def m(self, y=0, z=0):\n        pass\n"
+    )
+    calls = "f(0, 1)\nf(0, e=5)\nK(1)\nobj.m(**kw)\n"
+    assert unsupplied_defaults([defs], [calls]) == ["f(c)", "f(d)"]
+
+
+def test_every_default_is_set_by_a_caller():
+    # a defaulted parameter nothing sets is a constant; it belongs in the body
+    dirs = ("src", "scripts", "perfbench", "tests")
+    callers = [p.read_text() for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
+    defs = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unsupplied_defaults(defs, callers) == []

@@ -304,7 +304,7 @@ def certify_point(
             {"d": d, "F_deg": F_deg, "q": field.q, "reason": str(err)},
             {"prime_degree_budget": max_degree},
         )
-    h, audit = order_class_number(point.order.K, point.order.conductor)
+    h, audit = order_class_number(point.order.K, point.order.conductor, budget)
     frag = check_improper(prime, hyp, [h])
     floor_ineq = Inequality.check(
         "prime_norm_floor", prime.norm, hyp.norm_floor - 1

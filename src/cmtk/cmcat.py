@@ -26,10 +26,9 @@ from .ffpoly import (
     as_prime,
     factor_monic,
     irreducibles,
-    kdec,
     jacobi_symbol,
     kenc,
-    kmonics,
+    kmonics_avoiding,
     kmul,
     kscale,
     monic_polys,
@@ -116,17 +115,12 @@ class CatalogueRow:
 def _squarefree_monics(field, d):
     """Monic squarefree polynomials of degree d in canonical order.
 
-    A sieve: every P^2 c with P monic irreducible, 2 deg P <= d and c
-    monic of degree d - 2 deg P is struck out.
+    The monics that no P^2 divides, P monic irreducible with 2 deg P <= d.
     """
-    size = field.q**d
-    struck = bytearray(size)
-    for k in range(1, d // 2 + 1):
-        for P in irreducibles(field, k):
-            square = kmul(field, P.coeffs, P.coeffs)
-            for c in kmonics(field, d - 2 * k):
-                struck[kenc(field, kmul(field, square, c)) - size] = 1
-    return [Poly(field, kdec(field, size + lower)) for lower in range(size) if not struck[lower]]
+    squares = (
+        kmul(field, P.coeffs, P.coeffs) for k in range(1, d // 2 + 1) for P in irreducibles(field, k)
+    )
+    return [Poly(field, m) for m in kmonics_avoiding(field, d, squares)]
 
 
 def _imaginary_radicands_of_genus(field, g):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import re
+from array import array
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError
@@ -80,7 +81,8 @@ class FqSpec:
     `modulus`, the canonical primitive modulus: the code-smallest monic
     irreducible of degree e over F_p whose residue class of T generates
     the multiplicative group.  Since T is then a generator g, every
-    operation is a table lookup on discrete logarithms, n = q - 1:
+    operation is a table lookup on discrete logarithms, n = q - 1, read
+    from log_tables(p, e):
 
     * _log[c] = log_g c for c != 0, and _log[0] = 2n;
     * _exp[k] = g^(k mod n) for 0 <= k < 2n, and 0 on 2n <= k < 3n, so a
@@ -96,24 +98,22 @@ class FqSpec:
 
     __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech", "_neg", "_leg")
 
-    def __init__(self, p, e, modulus, exp, log):
+    def __init__(self, p, e):
         self.p = p
         self.e = e
         self.q = p**e
-        self.modulus = modulus  # coefficient tuple over F_p, None for e == 1
         if e == 1:
-            self._exp = self._log = self._zech = self._neg = None
+            self.modulus = self._exp = self._log = self._zech = self._neg = None
             self._leg = tuple(
                 0 if c == 0 else (1 if pow(c, (p - 1) // 2, p) == 1 else -1)
                 for c in range(p)
             )
             return
         n = self.q - 1
+        self.modulus, exp, log, zech = log_tables(p, e)
         self._exp = exp = tuple(exp) * 2 + (0,) * n
-        self._log = log = (2 * n, *log[1:])
-        # 1 + g^k: the code is F_p-linear and 1 has code 1, so only the
-        # lowest base-p digit changes
-        self._zech = tuple(log[v - v % p + (v + 1) % p] for v in exp[:n])
+        self._log = log = tuple(log)
+        self._zech = tuple(zech)
         self._neg = tuple(exp[x + n // 2] for x in log)
         self._leg = tuple(
             0 if c == 0 else (1 if log[c] % 2 == 0 else -1) for c in range(self.q)
@@ -210,6 +210,36 @@ def primitive_modulus(p, e):
     raise AssertionError("no primitive polynomial found")
 
 
+def log_tables(p, n):
+    """(W, exp, log, zech) of F_{p^n} = F_p[T]/W; FqSpec and _ext_tables cache them.
+
+    W = primitive_modulus(p, n) and g = T mod W; codes are base-p digits on
+    the power basis, N = p^n - 1: exp[k] = g^k, log[c] = log_g c with
+    log[0] = 2N, zech[k] = log_g(1 + g^k) (2N where that is 0).  Each step
+    multiplies by T: the digits move up, and the digit h pushed out comes
+    back as h T^n, adding h (-w_j) digitwise at each nonzero tap w_j of W.
+    """
+    W = primitive_modulus(p, n)
+    N = p**n - 1
+    top = p ** (n - 1)
+    taps = [(p**j, (-w) % p) for j, w in enumerate(W[:-1]) if w]
+    wrap = [[(pj, h * c % p) for pj, c in taps] for h in range(p)]
+    exp = array("i", bytes(4 * N))
+    log = array("i", bytes(4 * (N + 1)))
+    log[0] = 2 * N
+    code = 1
+    for k in range(N):
+        exp[k] = code
+        log[code] = k
+        h, code = divmod(code, top)
+        code *= p
+        for pj, c in wrap[h]:
+            d = code // pj % p
+            code += ((d + c) % p - d) * pj
+    zech = array("i", [log[v - v % p + (v + 1) % p] for v in exp])
+    return W, exp, log, zech
+
+
 def Fq(p, e=1):
     """Construct (and cache) the field F_{p^e}; p odd prime, p^e <= 2^16.
 
@@ -224,20 +254,7 @@ def _fq_interned(p, e):
         raise DomainError(f"p must be an odd prime, got {p}")
     if e < 1 or p**e > MAX_Q:
         raise DomainError(f"q = p^e must satisfy 1 <= e and q <= {MAX_Q}")
-    if e == 1:
-        return FqSpec(p, 1, None, None, None)
-    modulus = primitive_modulus(p, e)
-    base = Fq(p)
-    q = p**e
-    exp = [0] * (q - 1)
-    log = [0] * q
-    cur = (1,)
-    for i in range(q - 1):
-        code = kenc_base(cur, p)
-        exp[i] = code
-        log[code] = i
-        cur = kmod(base, kmulx(cur), modulus)
-    return FqSpec(p, e, modulus, exp, log)
+    return FqSpec(p, e)
 
 
 def fq_from_q(q):
@@ -264,15 +281,12 @@ def kdeg(a):
     return len(a) - 1  # zero polynomial gets -1
 
 
-def kenc_base(a, q):
+def kenc(F, a):
+    q = F.q
     code = 0
     for c in reversed(a):
         code = code * q + c
     return code
-
-
-def kenc(F, a):
-    return kenc_base(a, F.q)
 
 
 def kdec(F, code):
@@ -282,11 +296,6 @@ def kdec(F, code):
         out.append(code % q)
         code //= q
     return tuple(out)
-
-
-def kmulx(a):
-    """Multiply by T."""
-    return (0,) + a if a else ()
 
 
 def kadd(F, a, b):
@@ -473,6 +482,20 @@ def kmonics(F, d):
     """All monic polynomials of degree d in canonical order."""
     for lower in range(F.q**d):
         yield kdec(F, F.q**d + lower)
+
+
+def kmonics_avoiding(F, d, divisors):
+    """The monic polynomials of degree d that no divisor divides, in canonical order.
+
+    A strike sieve: each divisor (monic, of degree at most d) strikes its
+    monic multiples of degree d.
+    """
+    size = F.q**d
+    struck = bytearray(size)
+    for g in divisors:
+        for c in kmonics(F, d - kdeg(g)):
+            struck[kenc(F, kmul(F, g, c)) - size] = 1
+    return [kdec(F, size + lower) for lower in range(size) if not struck[lower]]
 
 
 # ---------------------------------------------------------------------------
@@ -1012,22 +1035,9 @@ def irreducibles(field, t, budget=DEFAULT_ENUM_BUDGET):
 
 @functools.cache
 def _irreducible_sieve(field, t):
-    q = field.q
-    size = q**t
-    composite = bytearray(size)
-    for d in range(1, t // 2 + 1):
-        for g in _irreducible_sieve(field, d):
-            gc = g.coeffs
-            for lower in range(q ** (t - d)):
-                h = kdec(field, q ** (t - d) + lower)
-                prod = kmul(field, gc, h)
-                composite[kenc(field, prod) - size] = 1
-    result = tuple(
-        PrimePoly(field, kdec(field, size + lower), "sieve")
-        for lower in range(size)
-        if not composite[lower]
-    )
-    expected = irreducible_count(q, t)
+    smaller = (g.coeffs for d in range(1, t // 2 + 1) for g in _irreducible_sieve(field, d))
+    result = tuple(PrimePoly(field, f, "sieve") for f in kmonics_avoiding(field, t, smaller))
+    expected = irreducible_count(field.q, t)
     if len(result) != expected:
         raise AssertionError(
             f"sieve found {len(result)} irreducibles of degree {t}, expected {expected}"

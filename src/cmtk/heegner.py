@@ -17,6 +17,7 @@ h_j = h_K |p|^{j-1} (|p| - chi(p)) for j >= 1.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from .errors import DomainError, FieldRejected, NotSplitError
@@ -42,6 +43,11 @@ class HeegnerSearchSpec:
     p: object  # PrimePoly or None
     max_degree: int
     count: int
+    primes: tuple = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the primes of the level, factored once for the search and its JSON
+        object.__setattr__(self, "primes", tuple(p for p, _ in factor_monic(self.n)))
 
     @classmethod
     def make(cls, field, n, p=None, max_degree=6, count=10, require_coprime=True):
@@ -63,7 +69,7 @@ class HeegnerSearchSpec:
         return self.n.field
 
     def level_primes(self):
-        return tuple(p for p, _ in factor_monic(self.n))
+        return self.primes
 
 
 @dataclass(frozen=True)

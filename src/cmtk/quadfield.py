@@ -61,8 +61,8 @@ from .ffpoly import (
     kneg,
     ksub,
     kxgcd,
+    log_tables,
     parse_poly,
-    primitive_modulus,
 )
 
 # ---------------------------------------------------------------------------
@@ -135,12 +135,9 @@ def analyze_quadratic(field, m):
 def _ext_tables(field, i):
     """Zech-log tables of F_{q^i} = F_{p^n}, n = e i, cached per (field, i).
 
-    g is a root of the code-smallest primitive polynomial W of degree n
-    over F_p, and N = p^n - 1.  Elements are coded by the windows
-    (s_k, ..., s_{k+n-1}) of the linear recurring sequence with
-    characteristic polynomial W and first window (1, 0, ..., 0): g^k has
-    the k-th window as its base-p code, and the code is F_p-linear, so
-    adding 1 changes only the lowest digit.  Returns (N, zech, cls, clog):
+    Read from ffpoly.log_tables(p, n): g = T modulo the code-smallest
+    primitive polynomial of degree n over F_p, and N = p^n - 1.  Returns
+    (N, zech, cls, clog):
 
     * zech[x] = log_g(1 + g^x) for 0 <= x < 2N (x read mod N), or 2N
       where 1 + g^x = 0; zech[x] = 0 on the block 2N <= x < 3N, so an
@@ -152,19 +149,7 @@ def _ext_tables(field, i):
     """
     p, n = field.p, field.e * i
     N = p**n - 1
-    taps = [(j, (-c) % p) for j, c in enumerate(primitive_modulus(p, n)[:-1]) if c]
-    s = [1] + [0] * (n - 1)
-    for k in range(N):
-        s.append(sum(c * s[k + j] for j, c in taps) % p)
-    exp = array("i", bytes(4 * N))
-    log = array("i", bytes(4 * (N + 1)))
-    log[0] = 2 * N
-    code, top = 1, p ** (n - 1)
-    for k in range(N):
-        exp[k] = code
-        log[code] = k
-        code = code // p + s[k + n] * top
-    zech = array("i", [log[v - v % p + (v + 1) % p] for v in exp])
+    _, _, log, zech = log_tables(p, n)
     zech.extend(zech)
     zech.extend(array("i", bytes(4 * N)))
     cls = bytes(2 if z == 2 * N else z & 1 for z in zech)

@@ -336,8 +336,9 @@ def covering_group_orders(N, budget=DEFAULT_ENUM_BUDGET):
     if len(set(counts)) != 1:
         raise AssertionError("determinant fibers over units must have equal size")
     sl2 = counts[0]
+    fac = factor_monic(N)
     formula = N.norm**3
-    for p, _ in factor_monic(N):
+    for p, _ in fac:
         formula = formula * (p.norm**2 - 1) // p.norm**2
     if sl2 != formula:
         raise AssertionError(
@@ -360,7 +361,6 @@ def covering_group_orders(N, budget=DEFAULT_ENUM_BUDGET):
         "gal_full_level": sl2,
         "gal_quotient_level": gl2_1 // z1,
     }
-    fac = factor_monic(N)
     if len(fac) == 1 and fac[0][1] == 1 and fac[0][0].degree % 2 == 0:
         psl2 = sl2 // 2
         if out["gal_quotient_level"] != psl2:

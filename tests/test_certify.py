@@ -162,6 +162,17 @@ def test_certify_point_end_to_end_certified():
     assert jacobi_symbol(point.order.K.m, p) == 1
 
 
+def test_certify_point_budget_bounds_the_class_number():
+    # the genus-7 zeta pass takes g q^g = 7 * 3^7 = 15309 point evaluations
+    point = _point("T^15+T^2+2", "T^2+T")
+    with pytest.raises(BudgetError) as err:
+        certify_point(point, budget=15308)
+    assert err.value.info == {"genus": 7, "q": 3, "budget": 15308}
+    cert = certify_point(point, budget=15309)
+    assert cert.verdict == "certified"
+    assert cert.budget["enum_budget"] == 15309
+
+
 def test_worst_unit_product_values_and_minimality():
     assert [worst_unit_product(3, k) for k in range(6)] == [
         Fraction(1),

@@ -1,5 +1,7 @@
 """Base arithmetic: F_q codes, polynomial kernels, factoring, characters."""
 
+import hashlib
+import json
 import math
 import random
 
@@ -26,14 +28,19 @@ from cmtk.ffpoly import (
     kenc,
     kgcd,
     kjacobi,
+    kmod,
+    kmonics,
+    kmonics_avoiding,
     kmul,
     kscale,
     ksub,
     kxgcd,
+    log_tables,
     monic_polys,
     parse_poly,
     poly_from_json,
     poly_from_text,
+    primitive_modulus,
     quadratic_character,
 )
 
@@ -390,6 +397,65 @@ def digit_mul(F, a, b):
         for j in range(e + 1):
             prod[k - e + j] -= c * mod[j]
     return sum((c % p) * p**i for i, c in enumerate(prod[:e]))
+
+
+def power_basis_by_division(p, n):
+    """(W, exp, log, zech) of F_{p^n} one element at a time: T^k mod W by kmod.
+
+    zech comes from adding 1 to g^k with kadd, and log[0] = 2N.
+    """
+    base = Fq(p)
+    W = primitive_modulus(p, n)
+    N = p**n - 1
+    powers, x = [], (1,)
+    for _ in range(N):
+        powers.append(x)
+        x = kmod(base, (0,) + x, W)
+    assert x == (1,)
+    exp = [kenc(base, x) for x in powers]
+    log = [2 * N] * (N + 1)
+    for k, code in enumerate(exp):
+        log[code] = k
+    zech = [log[kenc(base, kadd(base, x, (1,)))] for x in powers]
+    return W, exp, log, zech
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (5, 3), (3, 8)])
+def test_log_tables_match_power_basis_by_division(p, n):
+    W, exp, log, zech = log_tables(p, n)
+    assert (W, list(exp), list(log), list(zech)) == power_basis_by_division(p, n)
+    assert sorted(exp) == list(range(1, p**n))
+
+
+@pytest.mark.parametrize("q", [3, 9])
+def test_monics_avoiding_matches_division(q):
+    F = fq_from_q(q)
+    rng = random.Random(q)
+    for d in range(4):
+        for _ in range(5):
+            divisors = [kdec(F, F.q**k + rng.randrange(F.q**k)) for k in (1, 1, 2) if k <= d]
+            expected = [m for m in kmonics(F, d) if all(kmod(F, m, g) for g in divisors)]
+            assert kmonics_avoiding(F, d, divisors) == expected
+
+
+# sha256 of json [modulus, _exp, _log, _zech, _neg], pinned before FqSpec read log_tables
+FIELD_TABLE_DIGESTS = {
+    9: "1e4959d4c83c9511b551739a5431ec2883390512d33945391a6b69dc2dd2430f",
+    25: "748c1dceea1469b4ee30af715f6f99d77315b6d90721a4f6c3d23fdd4b5b8cc6",
+    27: "f682d7a77a156b18ce53a2de6a9d7a35185d12b4f27de0a63d6e37498d95f107",
+    49: "a69812c98c1303a3bd285c184338a2072ca219c68f18f44854d9ef8b810e9853",
+    81: "c95edf8b3d9eabf79421d0c1b8878b6547cf723f1b969acdb8e974b26a448084",
+    125: "39a65e54dba916f398d99598ac91643b3dad0893631c918b2eca883c8983f46b",
+    3**10: "f26760d3288690e0b67f338075d1cad0e58cd7ad242a98a135658326bcde7021",
+}
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_TABLE_DIGESTS))
+def test_field_table_digest_is_pinned(q):
+    F = fq_from_q(q)
+    tables = [list(F.modulus), list(F._exp), list(F._log), list(F._zech), list(F._neg)]
+    digest = hashlib.sha256(json.dumps(tables).encode()).hexdigest()
+    assert digest == FIELD_TABLE_DIGESTS[q]
 
 
 @pytest.mark.parametrize("q", TABLE_QS)

@@ -185,3 +185,53 @@ def test_every_default_is_set_by_a_caller():
     callers = [p.read_text() for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
     defs = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unsupplied_defaults(defs, callers) == []
+
+
+def module_level_names(source):
+    """Names of the functions and classes a module defines at top level."""
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    return [node.name for node in ast.parse(source).body if isinstance(node, kinds)]
+
+
+def referenced_names(sources):
+    """Names read (plain or as an attribute) anywhere outside the body that defines them."""
+    out = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            out.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for source in sources:
+        visit(ast.parse(source), frozenset())
+    return out
+
+
+def unreferenced(def_sources, sources):
+    used = referenced_names(sources)
+    return sorted(name for s in def_sources for name in module_level_names(s) if name not in used)
+
+
+def test_reference_checker_flags_dead_definitions():
+    defs = (
+        "def used(): pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class K:\n    def m(self):\n        return K()\n"
+        "def via_attr(): pass\n"
+        "def only_imported(): pass\n"
+    )
+    users = "from mod import only_imported\nused()\nmod.via_attr\n"
+    assert unreferenced([defs], [defs, users]) == ["K", "only_imported", "recursive"]
+
+
+def test_every_module_level_definition_is_referenced():
+    # a function or class nothing names outside its own body is dead code
+    dirs = ("src", "scripts", "perfbench", "tests")
+    sources = [p.read_text() for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
+    defs = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unreferenced(defs, sources) == []

@@ -1,6 +1,8 @@
 """Quadratic fields: rejection taxonomy, zeta oracle vs forms, Eq-style formula."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -27,6 +29,7 @@ from cmtk.quadfield import (
     ClassGroup,
     FormClass,
     QuadOrder,
+    _ext_tables,
     affine_point_count,
     analyze_quadratic,
     class_group,
@@ -199,6 +202,24 @@ def test_affine_point_count_matches_tuple_oracle(q, per_type):
     for i in (1, 2, 3):
         expected = _tuple_affine_point_counts(fields, i)
         assert [affine_point_count(K, i) for K in fields] == expected, i
+
+
+# sha256 of json [N, zech, cls, clog], pinned before the tables came from log_tables
+EXT_TABLE_DIGESTS = {
+    (3, 8): "734652d5b396d39dd73de2eddb893c938b6e0367afbdf285031bcefea5788906",
+    (5, 6): "6802e80da1bd48552c18c0fe29eb5de90d3432adb9148311c65d41844a02e962",
+    (9, 4): "9d23e8ba976decf14877d7293521d780ba39f8394f0075966ae9e18078582bd5",
+    (25, 3): "2d54000d016e2f3e979c7606adaea122ddd248b409a02b76d967b80fc8b50d3f",
+    (27, 2): "5de7930805c2c38d6ac11fa9cc1f260d617cb0e346b057f9ac620714ff188230",
+    (3, 11): "7fd4e00d1b09e5e1db76f5ee908b003c3042ee14c09ad72d9c859e6242e04d5c",
+}
+
+
+@pytest.mark.parametrize("q, i", sorted(EXT_TABLE_DIGESTS))
+def test_ext_tables_digest_is_pinned(q, i):
+    N, zech, cls, clog = _ext_tables(fq_from_q(q), i)
+    blob = json.dumps([N, list(zech), list(cls), clog]).encode()
+    assert hashlib.sha256(blob).hexdigest() == EXT_TABLE_DIGESTS[q, i]
 
 
 def test_zeta_budget():

@@ -257,13 +257,6 @@ class ImproperCheck:
     witness: int  # index of the first coordinate that passes, or -1
     inequalities: tuple
 
-    def json_obj(self):
-        return {
-            "satisfied": self.satisfied,
-            "witness": self.witness,
-            "inequalities": [i.json_obj() for i in self.inequalities],
-        }
-
 
 def check_improper(prime, hyp, pic_sizes):
     """|Pic(R_i)| / F_deg > 4 (|p|+1)^2 d^2 for some coordinate i."""

@@ -127,6 +127,8 @@ def _cmd_cm_orbit(ns, field):
         start = principal_form(order)
     else:
         start = FormClass(order, parse_poly(field, ns.a), parse_poly(field, ns.b))
+        if not start.is_invertible:
+            raise DomainError("the start form is not invertible: gcd(a, b, c) != 1")
     prime = as_prime(field, ns.prime)
     point = CMPoint(order, start)
     orbit, length = galois_orbit(
@@ -242,7 +244,6 @@ def _cmd_heegner(ns, field):
         p=ns.prime,
         max_degree=ns.max_degree,
         count=ns.count,
-        require_coprime=not ns.allow_common,
     )
     search = find_heegner_fields(spec, mode=ns.mode)
     result = search.json_obj(spec)
@@ -266,33 +267,31 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--q", type=int, default=3)
     common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET)
-    common.add_argument(
-        "--prime-degree-budget", type=int, default=DEFAULT_PRIME_DEGREE_BUDGET
-    )
-    common.add_argument("--grid", type=int, default=DEFAULT_HEIGHT_GRID)
     common.add_argument("--config", default=None, help="key=value flag file")
+    # the work budget, on the subcommands that pass it on
+    enum = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    enum.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET)
 
     parser = _Parser(prog="cmtk", allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def sub(name, handler, **kwargs):
-        p = subs.add_parser(name, parents=[common], allow_abbrev=False, **kwargs)
+    def sub(name, handler, *parents):
+        p = subs.add_parser(name, parents=[common, *parents], allow_abbrev=False)
         p.set_defaults(func=handler)
         return p
 
     p = sub("factor", _cmd_factor)
     p.add_argument("--poly", required=True)
 
-    p = sub("classgroup", _cmd_classgroup)
+    p = sub("classgroup", _cmd_classgroup, enum)
     p.add_argument("--m", required=True)
     p.add_argument("--f", default="1")
     p.add_argument("--with-reps", action="store_true")
 
-    p = sub("cm-enumerate", _cmd_cm_enumerate)
+    p = sub("cm-enumerate", _cmd_cm_enumerate, enum)
     p.add_argument("--bound", type=int, required=True)
 
-    p = sub("cm-orbit", _cmd_cm_orbit)
+    p = sub("cm-orbit", _cmd_cm_orbit, enum)
     p.add_argument("--m", required=True)
     p.add_argument("--f", default="1")
     p.add_argument("--prime", required=True)
@@ -313,36 +312,39 @@ def _build_parser():
     p.add_argument("--poly", default=None)
     p.add_argument("--mode", choices=BIGDEGREE_MODES, default=BIGDEGREE_MODES[0])
 
-    p = sub("hecke", _cmd_hecke)
+    p = sub("hecke", _cmd_hecke, enum)
     p.add_argument("--level", required=True)
     p.add_argument("--deg-y", type=int, default=None)
     p.add_argument("--deg-y2", type=int, default=None)
     p.add_argument("--n-power", type=int, default=2)
     p.add_argument("--covering", action="store_true")
 
-    p = sub("split-count", _cmd_split_count)
+    p = sub("split-count", _cmd_split_count, enum)
     p.add_argument("--radicands", default="")
     p.add_argument("--t", type=int, required=True)
 
-    p = sub("certify", _cmd_certify)
+    p = sub("certify", _cmd_certify, enum)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--f-deg", dest="F_deg", type=int, default=1)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--point", type=int, required=True)
+    p.add_argument(
+        "--prime-degree-budget", type=int, default=DEFAULT_PRIME_DEGREE_BUDGET
+    )
 
     p = sub("minimal-B", _cmd_minimal_B)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--f-deg", dest="F_deg", type=int, default=1)
     p.add_argument("--t-budget", type=int, default=DEFAULT_T_BUDGET)
+    p.add_argument("--grid", type=int, default=DEFAULT_HEIGHT_GRID)
 
-    p = sub("heegner", _cmd_heegner)
+    p = sub("heegner", _cmd_heegner, enum)
     p.add_argument("--level", required=True)
     p.add_argument("--prime", default=None)
     p.add_argument("--levels", type=int, default=None)
     p.add_argument("--mode", choices=("direct", "lemma"), default="direct")
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--allow-common", action="store_true")
 
     return parser
 
@@ -387,7 +389,9 @@ def main(argv=None):
     try:
         if ns.q < 3 or ns.q % 2 == 0:
             raise DomainError("q must be an odd prime power >= 3")
-        if ns.enum_budget < 1 or ns.prime_degree_budget < 1 or ns.grid < 1:
+        # each budget flag sits only on the subcommands that read it
+        budgets = ("enum_budget", "prime_degree_budget", "grid")
+        if any(vars(ns).get(b, 1) < 1 for b in budgets):
             raise DomainError("budgets must be positive")
         field = fq_from_q(ns.q)
         result = ns.func(ns, field)

@@ -69,18 +69,6 @@ class CMPoint:
         }
 
 
-def cm_height(point_or_tuple):
-    """H_CM = q^g |f| for a point; max over coordinates for a tuple."""
-    if isinstance(point_or_tuple, CMPoint):
-        return point_or_tuple.height
-    if isinstance(point_or_tuple, int):
-        return point_or_tuple
-    heights = [cm_height(x) for x in point_or_tuple]
-    if not heights:
-        raise DomainError("empty tuple has no CM height")
-    return max(heights)
-
-
 # ---------------------------------------------------------------------------
 # bounded enumeration
 

@@ -2,8 +2,8 @@
 
 Field elements are encoded as integers 0..q-1: for prime q the residue
 itself, for q = p^e the base-p digit string of a residue modulo a fixed
-primitive modulus (the canonical modulus is recorded on the FqSpec and in
-all emitted metadata, so encodings are reproducible).
+primitive modulus (the code-smallest one, recorded on the FqSpec, so
+encodings are reproducible).
 
 Polynomials are coefficient tuples, constant term first, with no trailing
 zeros; the zero polynomial is the empty tuple.  The absolute value is
@@ -174,12 +174,6 @@ class FqSpec:
             if self._leg[c] == -1:
                 return c
         raise AssertionError("odd q must have a non-square")
-
-    def json_obj(self):
-        obj = {"p": self.p, "e": self.e, "q": self.q}
-        if self.modulus is not None:
-            obj["modulus"] = list(self.modulus)
-        return obj
 
     def __repr__(self):
         return f"FqSpec(q={self.q})"
@@ -842,13 +836,6 @@ class Poly:
                 terms.append(f"T^{i}" if c == 1 else f"{c}*T^{i}")
         return "+".join(terms)
 
-    def json_obj(self):
-        obj = {"q": self.field.q, "coeffs": list(self.coeffs)}
-        if self.field.e > 1:
-            obj["p"] = self.field.p
-            obj["modulus"] = list(self.field.modulus)
-        return obj
-
     def __str__(self):
         return self.text()
 
@@ -900,36 +887,11 @@ def poly_from_text(field, s):
     return Poly(field, ktrim(coeffs))
 
 
-def poly_from_json(obj, field=None):
-    """Parse {"q": 3, "coeffs": [1, 1, 0, 2]} (constant term first)."""
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise DomainError("polynomial JSON needs a 'coeffs' list")
-    if field is None:
-        if "q" not in obj:
-            raise DomainError("polynomial JSON needs 'q' when no field is given")
-        field = fq_from_q(int(obj["q"]))
-    elif "q" in obj and int(obj["q"]) != field.q:
-        raise DomainError(
-            f"polynomial JSON q={obj['q']} does not match the active field q={field.q}"
-        )
-    coeffs = obj["coeffs"]
-    if not all(isinstance(c, int) and 0 <= c < field.q for c in coeffs):
-        raise DomainError("polynomial JSON coefficients must be codes in 0..q-1")
-    return Poly(field, ktrim(tuple(coeffs)))
-
-
-def parse_poly(field, text_or_json):
-    """Accept either the text form or a JSON object/string form."""
-    if isinstance(text_or_json, Poly):
-        return text_or_json
-    if isinstance(text_or_json, dict):
-        return poly_from_json(text_or_json, field)
-    s = str(text_or_json).strip()
-    if s.startswith("{"):
-        import json as _json
-
-        return poly_from_json(_json.loads(s), field)
-    return poly_from_text(field, s)
+def parse_poly(field, text):
+    """A Poly as is; anything else parsed as text like "2*T^3+T+1"."""
+    if isinstance(text, Poly):
+        return text
+    return poly_from_text(field, str(text).strip())
 
 
 @dataclass(frozen=True, slots=True, eq=False)

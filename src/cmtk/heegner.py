@@ -50,13 +50,13 @@ class HeegnerSearchSpec:
         object.__setattr__(self, "primes", tuple(p for p, _ in factor_monic(self.n)))
 
     @classmethod
-    def make(cls, field, n, p=None, max_degree=6, count=10, require_coprime=True):
+    def make(cls, field, n, p=None, max_degree=6, count=10):
         n = parse_poly(field, n)
         if n.is_zero or not n.is_monic:
             raise DomainError("the level must be monic and nonzero")
         if p is not None:
             p = as_prime(field, p)
-            if require_coprime and (n % p).is_zero:
+            if (n % p).is_zero:
                 raise DomainError(
                     f"tower prime {p.text()} divides the level {n.text()}"
                 )

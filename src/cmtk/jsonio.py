@@ -41,24 +41,5 @@ def _cell(value):
 
 
 def render_table(result):
-    """Plain-text rendering: list-of-dicts as columns, dict as key/value."""
-    if isinstance(result, list) and result and all(
-        isinstance(r, dict) for r in result
-    ):
-        cols = []
-        for row in result:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
-        grid = [cols] + [[_cell(row.get(c, "")) for c in cols] for row in result]
-        widths = [max(len(line[i]) for line in grid) for i in range(len(cols))]
-        return "\n".join(
-            "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
-            for line in grid
-        )
-    if isinstance(result, dict):
-        lines = []
-        for key in sorted(result):
-            lines.append(f"{key}: {_cell(result[key])}")
-        return "\n".join(lines)
-    return _cell(result)
+    """Plain-text rendering of a handler's result dict, one key per line."""
+    return "\n".join(f"{key}: {_cell(result[key])}" for key in sorted(result))

@@ -248,9 +248,10 @@ def zeta_numerator(K, budget=DEFAULT_ENUM_BUDGET):
     g, q = K.genus, K.field.q
     if g == 0:
         return [1]
-    if g * q**g > budget:
+    evals = q * (q**g - 1) // (q - 1)  # |F_{q^i}| points for each i = 1..g
+    if evals > budget:
         raise BudgetError(
-            f"point counting needs ~ {g * q ** g} evaluations > budget {budget}",
+            f"point counting needs {evals} evaluations > budget {budget}",
             genus=g,
             q=q,
             budget=budget,

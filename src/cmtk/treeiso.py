@@ -31,7 +31,6 @@ from .ffpoly import (
     kgcd,
     kmod,
     kmul,
-    parse_poly,
 )
 
 # ---------------------------------------------------------------------------
@@ -159,39 +158,6 @@ def bigdegree_bound(n3_or_factors, mode="norm_plus_one"):
         base = norm + 1 if mode == "norm_plus_one" else norm
         out *= Fraction((norm - 1) * base ** (mult - 1), 2 * mult + 1)
     return out
-
-
-# ---------------------------------------------------------------------------
-# special triples
-
-
-@dataclass(frozen=True, slots=True)
-class SpecialTriple:
-    """A triple (N1, N2, N3) of monic polynomials, one per scaling class."""
-
-    n1: Poly
-    n2: Poly
-    n3: Poly
-
-    @classmethod
-    def make(cls, field, n1, n2, n3):
-        polys = []
-        for n in (n1, n2, n3):
-            n = parse_poly(field, n)
-            if n.is_zero:
-                raise DomainError("triple entries must be nonzero")
-            polys.append(n.monic())
-        return cls(*polys)
-
-    def project(self, i, j):
-        """Monic representative of N_i N_j, the level of the (i,j) image."""
-        if i == j or not {i, j} <= {1, 2, 3}:
-            raise DomainError("projection needs distinct indices from {1,2,3}")
-        entries = {1: self.n1, 2: self.n2, 3: self.n3}
-        return (entries[i] * entries[j]).monic()
-
-    def json_obj(self):
-        return [self.n1.text(), self.n2.text(), self.n3.text()]
 
 
 # ---------------------------------------------------------------------------

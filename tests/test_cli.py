@@ -82,22 +82,44 @@ def test_classgroup_with_reps(capsys):
     assert len(result["representatives"]) == int(result["h"]) == 7
 
 
+ORBIT_T = ["cm-orbit", "--q", "3", "--m", "T^3+2*T+1", "--f", "T", "--prime", "T+1"]
+
+
 def test_orbit_length_equals_class_number(capsys):
     # conductor-T order of k(sqrt(T^3+2T+1)): h = 7 * (3 - chi(T)) = 14,
     # and the prime above T+1 generates Pic(R)
-    result = _result(
-        ["cm-orbit", "--q", "3", "--m", "T^3+2*T+1", "--f", "T", "--prime", "T+1"],
-        capsys,
-    )
+    result = _result(ORBIT_T, capsys)
     assert result["length"] == 14
     assert len(result["orbit"]) == 14
     assert result["orbit"][0] == result["start"]
+    # a user start form in Pic(R) lies on the same single orbit
+    result = _result(ORBIT_T + ["--a", "T+2", "--b", "1"], capsys)
+    assert result["length"] == 14 and result["start"] == ["T+2", "1"]
+
+
+def test_orbit_rejects_non_invertible_start(capsys):
+    # (a, b) = (T, 0) has c = -(T^3+2*T+1) * T, so gcd(a, b, c) = T: not in Pic(R)
+    code, _, err = _run(ORBIT_T + ["--a", "T", "--b", "0"], capsys)
+    assert code == 2 and "not invertible" in err
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        ["--a", "T", "--b", "1"],  # b^2 is not D mod a
+        ["--a", "2*T", "--b", "0"],  # a is not monic
+        ["--a", "T", "--b", "T"],  # deg b >= deg a
+        ["--a", "T"],  # --b missing
+    ],
+    ids=["b2-not-D-mod-a", "a-not-monic", "deg-b-not-below-deg-a", "b-missing"],
+)
+def test_orbit_rejects_malformed_start(form, capsys):
+    assert _run(ORBIT_T + form, capsys)[0] == 2
 
 
 def test_enum_budget_bounds_orbit_and_covering(capsys):
-    orbit = ["cm-orbit", "--q", "3", "--m", "T^3+2*T+1", "--f", "T", "--prime", "T+1"]
-    assert _run(orbit + ["--enum-budget", "14"], capsys)[0] == 0
-    code, _, err = _run(orbit + ["--enum-budget", "13"], capsys)
+    assert _run(ORBIT_T + ["--enum-budget", "14"], capsys)[0] == 0
+    code, _, err = _run(ORBIT_T + ["--enum-budget", "13"], capsys)
     assert code == 3 and "budget" in err
     # |A/T^5| = 243: the convolution takes 243^2 = 59049 products
     hecke = ["hecke", "--q", "3", "--level", "T^5", "--covering"]
@@ -105,8 +127,28 @@ def test_enum_budget_bounds_orbit_and_covering(capsys):
     code, _, err = _run(hecke + ["--enum-budget", "59048"], capsys)
     assert code == 3 and "budget" in err
     # the per-command limits are gone
-    assert _run(orbit + ["--max-steps", "5"], capsys)[0] == 1
+    assert _run(ORBIT_T + ["--max-steps", "5"], capsys)[0] == 1
     assert _run(hecke + ["--covering-budget", "81"], capsys)[0] == 1
+
+
+def test_budget_flags_only_where_read(capsys):
+    # a budget flag sits only on the subcommands that pass it on
+    for argv in (
+        ["factor", "--poly", "T", "--grid", "5"],
+        ["classgroup", "--m", "T", "--prime-degree-budget", "3"],
+        ["tree", "--op", "distance", "--vertices", "0,1", "--enum-budget", "5"],
+        ["minimal-B", "--enum-budget", "5"],
+        ["heegner", "--level", "T", "--allow-common"],
+    ):
+        assert _run(argv, capsys)[0] == 1, argv
+    # and where it sits it must be positive
+    for argv in (
+        ["cm-enumerate", "--bound", "1", "--enum-budget", "0"],
+        ["certify", "--bound", "4", "--point", "0", "--prime-degree-budget", "0"],
+        ["minimal-B", "--grid", "0"],
+    ):
+        code, _, err = _run(argv, capsys)
+        assert code == 2 and "budgets must be positive" in err, argv
 
 
 def test_every_subcommand_emits_valid_envelope(capsys):

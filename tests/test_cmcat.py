@@ -10,7 +10,6 @@ from cmtk.cmcat import (
     acting_ideal_form,
     catalogue_json,
     catalogue_total,
-    cm_height,
     enumerate_cm_points,
     find_split_prime,
     galois_isogeny_step,
@@ -54,10 +53,6 @@ def _point(m_text, f_text):
 def test_height_examples():
     assert _point("T^3+2*T+1", "T").height == 9  # g = 1, |f| = 3
     assert _point("T", "1").height == 1
-    assert cm_height((_point("T^3+2*T+1", "T"), _point("T", "1"))) == 9
-    assert cm_height([9, 81]) == 81
-    with pytest.raises(DomainError):
-        cm_height(())
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ def test_spec_validation():
         _spec("0")
     with pytest.raises(DomainError):
         _spec("T^2+T", p="T")  # tower prime divides the level
-    _spec("T^2+T", p="T", require_coprime=False)
     with pytest.raises(DomainError):
         _spec("T", count=0)
 

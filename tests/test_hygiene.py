@@ -1,19 +1,22 @@
 """Source hygiene: imports in src/cmtk are read, re-exports have users,
-defaulted parameters are set by some caller, and the functions the
-benchmark tracer wraps exist.
+defaulted parameters are set by some caller, every CLI option is read,
+and the functions the benchmark tracer wraps exist.
 
 __init__.py is left out of the unused-import check: its imports are the
 re-exported public API, which has a check of its own.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import cmtk
+from cmtk import cli
 from cmtk.errors import CmtkError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -235,3 +238,74 @@ def test_every_module_level_definition_is_referenced():
     sources = [p.read_text() for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
     defs = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unreferenced(defs, sources) == []
+
+
+def namespace_reads(fn):
+    """Names read as ns.<name> in fn, outside the tests of raise-only ifs.
+
+    A guard that only rejects a value (`if ns.x < 1: raise ...`) does not
+    use it, so an option read nowhere else counts as unread.
+    """
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    guards = {
+        id(node.test)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and all(isinstance(s, ast.Raise) for s in node.body)
+    }
+    out = set()
+
+    def visit(node):
+        if id(node) in guards:
+            return
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ns":
+            out.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return out
+
+
+def unread_options(parser, main, exempt):
+    """ "subcommand --dest" for each option neither its handler nor main reads."""
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    read_by_main = namespace_reads(main)
+    return sorted(
+        f"{name} --{action.dest}"
+        for name, sub in subs.choices.items()
+        for action in sub._actions
+        if action.option_strings
+        and action.dest not in {"help", *exempt}
+        and action.dest not in read_by_main | namespace_reads(sub.get_default("func"))
+    )
+
+
+def _reads_x(ns, field):
+    if ns.y is None:
+        raise ValueError("a guard is not a use")
+    return ns.x
+
+
+def _reads_nothing(ns, field):
+    return field
+
+
+def _toy_main(ns):
+    return ns.func(ns, ns.z)
+
+
+def test_option_checker_flags_unread_options():
+    parser = argparse.ArgumentParser()
+    subs = parser.add_subparsers()
+    for name, handler in (("a", _reads_x), ("b", _reads_nothing)):
+        p = subs.add_parser(name)
+        p.set_defaults(func=handler)
+        for flag in ("--x", "--y", "--z", "--config"):
+            p.add_argument(flag)
+    unread = unread_options(parser, _toy_main, exempt={"config"})
+    assert unread == ["a --y", "b --x", "b --y"]
+
+
+def test_every_cli_option_is_read():
+    # --config is consumed by _apply_config before the parser runs
+    assert unread_options(cli._build_parser(), cli.main, exempt={"config"}) == []

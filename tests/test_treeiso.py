@@ -9,9 +9,7 @@ from hypothesis import given, strategies as st
 from cmtk.errors import BudgetError, DomainError
 from cmtk.ffpoly import Fq, Poly, kdec, poly_from_text
 from cmtk.treeiso import (
-    HeckeCosetRep,
     RegularTree,
-    SpecialTriple,
     bigdegree_bound,
     count_avoiding_geodesics,
     covering_group_orders,
@@ -223,23 +221,6 @@ def test_bigdegree_norm_mode_matches_geodesic_count():
 )
 def test_bigdegree_norm_never_exceeds_norm_plus_one(factors):
     assert bigdegree_bound(factors, "norm") <= bigdegree_bound(factors, "norm_plus_one")
-
-
-# ---------------------------------------------------------------------------
-# triples
-
-
-def test_triple_projection():
-    t = SpecialTriple.make(F3, "1", "1", "1")
-    assert t.project(1, 2).text() == "1"
-    t = SpecialTriple.make(F3, "T", "1", "T+1")
-    assert t.project(1, 3) == P3("T^2+T")
-    assert t.project(1, 3) == t.project(3, 1)
-    # non-monic inputs are normalized to the monic representative
-    t2 = SpecialTriple.make(F3, "2*T", "1", "T+1")
-    assert t2.n1 == P3("T")
-    with pytest.raises(DomainError):
-        t.project(1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import SCHEMA_VERSION
-from .errors import BudgetError, DomainError
+from .errors import DEFAULT_ENUM_BUDGET, BudgetError, DomainError
 from .ffpoly import (
-    DEFAULT_ENUM_BUDGET,
     factor_monic,
     irreducible_count,
     irreducibles,

@@ -15,14 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import BudgetError, CmtkError, DomainError
-from .ffpoly import (
-    DEFAULT_ENUM_BUDGET,
-    as_prime,
-    factor_any,
-    fq_from_q,
-    parse_poly,
-)
+from .errors import DEFAULT_ENUM_BUDGET, BudgetError, CmtkError, DomainError
+from .ffpoly import as_prime, factor_any, fq_from_q, parse_poly
 from .quadfield import QuadOrder, analyze_quadratic, class_group, order_class_number
 from .cmcat import (
     catalogue_json,
@@ -245,7 +239,7 @@ def _cmd_heegner(ns, field):
         max_degree=ns.max_degree,
         count=ns.count,
     )
-    search = find_heegner_fields(spec, mode=ns.mode)
+    search = find_heegner_fields(spec, mode=ns.mode, budget=ns.enum_budget)
     result = search.json_obj(spec)
     if ns.levels is not None:
         if spec.p is None:
@@ -390,7 +384,7 @@ def main(argv=None):
         if ns.q < 3 or ns.q % 2 == 0:
             raise DomainError("q must be an odd prime power >= 3")
         # each budget flag sits only on the subcommands that read it
-        budgets = ("enum_budget", "prime_degree_budget", "grid")
+        budgets = ("enum_budget", "prime_degree_budget", "grid", "t_budget")
         if any(vars(ns).get(b, 1) < 1 for b in budgets):
             raise DomainError("budgets must be positive")
         field = fq_from_q(ns.q)

@@ -19,9 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetError, DomainError, NotSplitError, UnsupportedPath
-from .ffpoly import (
+from .errors import (
     DEFAULT_ENUM_BUDGET,
+    BudgetError,
+    DomainError,
+    NotSplitError,
+    UnsupportedPath,
+    admit,
+)
+from .ffpoly import (
     Poly,
     as_prime,
     factor_monic,
@@ -148,14 +154,10 @@ def enumerate_cm_points(field, bound, budget=DEFAULT_ENUM_BUDGET):
     work = sum(
         2 * q ** (2 * g + 2) * q ** (level_max - g) for g in range(level_max + 1)
     )
-    if work > budget:
-        raise BudgetError(
-            f"CM catalogue scan needs ~ {work} candidates > budget {budget}",
-            bound=bound,
-            budget=budget,
-        )
+    admit(work, budget, "CM catalogue scan", bound=bound)
     for g in range(level_max + 1):
-        fields = [(K.m, class_number_zeta(K)) for K in _imaginary_radicands_of_genus(field, g)]
+        radicands = _imaginary_radicands_of_genus(field, g)
+        fields = [(K.m, class_number_zeta(K, budget)) for K in radicands]
         for deg_f in range(level_max - g + 1):
             height = q ** (g + deg_f)
             conductors = [(f, factor_monic(f)) for f in monic_polys(field, deg_f)]

@@ -1,9 +1,14 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one budget check.
 
 DomainError covers mathematically invalid input (CLI exit code 2),
 BudgetError covers exhausted search/enumeration budgets (exit code 3).
-Budgets are always explicit: nothing silently truncates.
+Budgets are always explicit: nothing silently truncates.  A bounded
+routine estimates its work up front and calls admit, which refuses a
+larger estimate than its budget (DEFAULT_ENUM_BUDGET unless the caller
+passes one on) before anything is built.
 """
+
+DEFAULT_ENUM_BUDGET = 10**7
 
 
 class CmtkError(Exception):
@@ -20,6 +25,13 @@ class BudgetError(CmtkError):
     def __init__(self, message, **info):
         super().__init__(message)
         self.info = info
+
+
+def admit(work, budget, what, **info):
+    """Refuse a run whose estimated work exceeds its budget."""
+    if work > budget:
+        message = f"{what} needs work ~ {work} > budget {budget}"
+        raise BudgetError(message, **info, budget=budget)
 
 
 class FieldRejected(DomainError):

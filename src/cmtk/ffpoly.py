@@ -24,9 +24,8 @@ import re
 from array import array
 from dataclasses import dataclass
 
-from .errors import BudgetError, DomainError
+from .errors import DEFAULT_ENUM_BUDGET, DomainError, admit
 
-DEFAULT_ENUM_BUDGET = 10**7
 MAX_Q = 1 << 16
 
 # ---------------------------------------------------------------------------
@@ -985,13 +984,7 @@ def irreducibles(field, t, budget=DEFAULT_ENUM_BUDGET):
     """
     if t < 1:
         raise DomainError("degree must be >= 1")
-    if t * field.q**t > budget:
-        raise BudgetError(
-            f"irreducible enumeration needs work ~ {t * field.q ** t} > budget {budget}",
-            q=field.q,
-            t=t,
-            budget=budget,
-        )
+    admit(t * field.q**t, budget, "irreducible enumeration", q=field.q, t=t)
     return _irreducible_sieve(field, t)
 
 

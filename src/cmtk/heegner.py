@@ -20,9 +20,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .errors import DomainError, FieldRejected, NotSplitError
+from .errors import DEFAULT_ENUM_BUDGET, DomainError, FieldRejected, NotSplitError
 from .ffpoly import (
-    DEFAULT_ENUM_BUDGET,
     Poly,
     as_prime,
     factor_monic,
@@ -108,13 +107,14 @@ def _passes(field, m, level_primes):
     return None
 
 
-def find_heegner_fields(spec, mode="direct"):
+def find_heegner_fields(spec, mode="direct", budget=DEFAULT_ENUM_BUDGET):
     """Quadratic fields in which every prime dividing the level splits.
 
     direct mode scans all radicands in canonical order; lemma mode scans
     only odd-degree monic primes congruent to 1 mod the level (the
     construction that proves infinitude), for which every character
-    condition holds automatically.
+    condition holds automatically.  The budget bounds each degree's
+    prime sieve in lemma mode.
     """
     field = spec.field
     level_primes = spec.level_primes()
@@ -130,7 +130,7 @@ def find_heegner_fields(spec, mode="direct"):
     if mode == "lemma":
         one = Poly.constant(field, 1)
         for t in range(1, spec.max_degree + 1, 2):
-            for p in irreducibles(field, t):
+            for p in irreducibles(field, t, budget):
                 if (p % spec.n) != (one % spec.n):
                     continue
                 K = _passes(field, p, level_primes)

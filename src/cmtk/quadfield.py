@@ -42,9 +42,8 @@ from fractions import Fraction
 from itertools import chain
 from operator import add
 
-from .errors import BudgetError, DomainError, FieldRejected, UnsupportedPath
+from .errors import DEFAULT_ENUM_BUDGET, DomainError, FieldRejected, UnsupportedPath, admit
 from .ffpoly import (
-    DEFAULT_ENUM_BUDGET,
     Poly,
     factor_monic,
     irreducibles,
@@ -249,13 +248,7 @@ def zeta_numerator(K, budget=DEFAULT_ENUM_BUDGET):
     if g == 0:
         return [1]
     evals = q * (q**g - 1) // (q - 1)  # |F_{q^i}| points for each i = 1..g
-    if evals > budget:
-        raise BudgetError(
-            f"point counting needs {evals} evaluations > budget {budget}",
-            genus=g,
-            q=q,
-            budget=budget,
-        )
+    admit(evals, budget, "point counting", genus=g, q=q)
     s = [0] * (g + 1)
     for i in range(1, g + 1):
         s[i] = q**i + 1 - point_count(K, i)
@@ -562,12 +555,7 @@ def enumerate_reduced_forms(order, budget=DEFAULT_ENUM_BUDGET):
         )
     F = order.K.field
     gD = order.genus_parameter
-    if F.q ** (2 * gD) > budget:
-        raise BudgetError(
-            f"form enumeration needs ~ {F.q ** (2 * gD)} square tests > budget {budget}",
-            deg_D=order.D.degree,
-            budget=budget,
-        )
+    admit(F.q ** (2 * gD), budget, "form enumeration", deg_D=order.D.degree)
     D = order.D.coeffs
     # per prime p of degree <= g_D: (p^k, roots of D mod p^k) for k = 1, 2, ...
     # up to degree g_D or the first p^k mod which D has no root

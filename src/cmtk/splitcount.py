@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import BudgetError, DomainError
-from .ffpoly import DEFAULT_ENUM_BUDGET, factor_monic, irreducible_count, parse_poly
+from .errors import DEFAULT_ENUM_BUDGET, DomainError, admit
+from .ffpoly import factor_monic, irreducible_count, parse_poly
 from .quadfield import NONSQUARE, SQUARE, ZERO, analyze_quadratic, value_classes
 
 
@@ -164,13 +164,7 @@ def count_split_primes(spec, t, budget=DEFAULT_ENUM_BUDGET):
     if t < 1:
         raise DomainError("degree must be >= 1")
     q = spec.field.q
-    if t * q**t > budget:
-        raise BudgetError(
-            f"split-prime count needs work ~ {t * q ** t} > budget {budget}",
-            q=q,
-            t=t,
-            budget=budget,
-        )
+    admit(t * q**t, budget, "split-prime count", q=q, t=t)
     divisors = [d for d in range(1, t + 1) if t % d == 0]
     split, unramified, ramified = {}, {}, {}
     for d in divisors:

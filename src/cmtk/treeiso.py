@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError, DomainError
+from .errors import DEFAULT_ENUM_BUDGET, DomainError, admit
 from .ffpoly import (
-    DEFAULT_ENUM_BUDGET,
     Poly,
     factor_monic,
     kadd,
@@ -35,6 +34,11 @@ from .ffpoly import (
 
 # ---------------------------------------------------------------------------
 # the regular tree
+
+
+def _common_prefix(v, w):
+    """Length of the longest common prefix of two addresses."""
+    return next((k for k, (a, b) in enumerate(zip(v, w)) if a != b), min(len(v), len(w)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,12 +89,7 @@ class RegularTree:
 
     def distance(self, v, w):
         v, w = self.check(v), self.check(w)
-        k = 0
-        for a, b in zip(v, w):
-            if a != b:
-                break
-            k += 1
-        return len(v) + len(w) - 2 * k
+        return len(v) + len(w) - 2 * _common_prefix(v, w)
 
     def median(self, v1, v2, v3):
         """Center of the tripod plus the three arm lengths.
@@ -100,16 +99,7 @@ class RegularTree:
         edge-disjoint.
         """
         vs = [self.check(v1), self.check(v2), self.check(v3)]
-
-        def lcp(a, b):
-            k = 0
-            for x, y in zip(a, b):
-                if x != y:
-                    break
-                k += 1
-            return k
-
-        pairs = [(lcp(vs[i], vs[j]), i) for i, j in ((0, 1), (0, 2), (1, 2))]
+        pairs = [(_common_prefix(vs[i], vs[j]), i) for i, j in ((0, 1), (0, 2), (1, 2))]
         depth, which = max(pairs)
         center = vs[which][:depth]
         arms = tuple(self.distance(center, v) for v in vs)
@@ -277,12 +267,7 @@ def covering_group_orders(N, budget=DEFAULT_ENUM_BUDGET):
             "gal_quotient_level": 1,
         }
     size = F.q**N.degree
-    if size * size > budget:
-        raise BudgetError(
-            f"covering convolution needs {size * size} products > budget {budget}",
-            ring_size=size,
-            budget=budget,
-        )
+    admit(size * size, budget, "covering convolution", ring_size=size)
     Nc = N.coeffs
     residues = _residues(F, N)
     # fiber sizes of multiplication: pc[y] = #{(a, d) : ad = y}

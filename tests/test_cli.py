@@ -146,9 +146,34 @@ def test_budget_flags_only_where_read(capsys):
         ["cm-enumerate", "--bound", "1", "--enum-budget", "0"],
         ["certify", "--bound", "4", "--point", "0", "--prime-degree-budget", "0"],
         ["minimal-B", "--grid", "0"],
+        ["minimal-B", "--t-budget", "0"],
+        ["minimal-B", "--t-budget", "-1"],
     ):
         code, _, err = _run(argv, capsys)
         assert code == 2 and "budgets must be positive" in err, argv
+
+
+def test_enum_budget_reaches_heegner_lemma_sieve(capsys):
+    lemma = ["heegner", "--q", "3", "--level", "T", "--mode", "lemma"]
+    lemma += ["--max-degree", "5", "--count", "1000"]
+    assert _result(lemma, capsys)["exhausted"] is True
+    # the degree-5 sieve needs 5 * 3^5 = 1215 > 100: refused, not skipped
+    code, _, err = _run(lemma + ["--enum-budget", "100"], capsys)
+    assert code == 3 and "irreducible enumeration" in err
+
+
+# sha256 of `certify --q 5 --d 30 --bound 5 --point 0 --enum-budget 100`:
+# the refused prime sieve's message is copied into constants.reason
+CERTIFY_REFUSED_DIGEST = "b98eb86b44ab7dba3bdc600718131e3fd6b699ac6eabdb9014b8e1fa4cb4fa15"
+
+
+def test_certify_budget_reason_golden_digest(capsys):
+    argv = ["certify", "--q", "5", "--d", "30", "--bound", "5", "--point", "0"]
+    code, out, err = _run(argv + ["--enum-budget", "100"], capsys)
+    assert code == 0, err
+    reason = json.loads(out)["result"]["constants"]["reason"]
+    assert reason == "irreducible enumeration needs work ~ 2500 > budget 100"
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == CERTIFY_REFUSED_DIGEST
 
 
 def test_every_subcommand_emits_valid_envelope(capsys):

@@ -1,6 +1,7 @@
 """Source hygiene: imports in src/cmtk are read, re-exports have users,
-defaulted parameters are set by some caller, every CLI option is read,
-and the functions the benchmark tracer wraps exist.
+defaulted parameters are set by some caller, budgets are passed on and
+refused in one place, every CLI option is read, and the functions the
+benchmark tracer wraps exist.
 
 __init__.py is left out of the unused-import check: its imports are the
 re-exported public API, which has a check of its own.
@@ -140,29 +141,33 @@ def defaulted_parameters(source):
     return out
 
 
+def callee(call):
+    """The name a call calls, plain or as an attribute."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
 def calls_by_name(sources):
-    """Callee name (plain or attribute) -> the ast.Call nodes naming it."""
+    """Callee name -> the ast.Call nodes naming it."""
     out = {}
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Call):
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                out.setdefault(name, []).append(node)
+                out.setdefault(callee(node), []).append(node)
     return out
+
+
+def supplied(call, param, index):
+    """Whether the call passes param, by keyword or at its position."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
 
 
 def unsupplied_defaults(def_sources, call_sources):
     """ "function(parameter)" for each defaulted parameter no call passes."""
     calls = calls_by_name(call_sources)
-
-    def supplied(call, param, index):
-        if any(k.arg in (param, None) for k in call.keywords):
-            return True
-        if index is None:
-            return False
-        return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
-
     return [
         f"{name}({param})"
         for source in def_sources
@@ -188,6 +193,88 @@ def test_every_default_is_set_by_a_caller():
     callers = [p.read_text() for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
     defs = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unsupplied_defaults(defs, callers) == []
+
+
+def dropped_budgets(sources):
+    """ "caller -> callee" for each call from a function with a budget
+    parameter to a function that takes one, where the call does not pass it."""
+    takes = {
+        name: index
+        for source in sources
+        for name, param, index in defaulted_parameters(source)
+        if param == "budget"
+    }
+    out = set()
+    for source in sources:
+        for fn in ast.walk(ast.parse(source)):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if "budget" not in [a.arg for a in fn.args.args + fn.args.kwonlyargs]:
+                continue
+            for call in (c for c in ast.walk(fn) if isinstance(c, ast.Call)):
+                name = callee(call)
+                if name in takes and not supplied(call, "budget", takes[name]):
+                    out.add(f"{fn.name} -> {name}")
+    return sorted(out)
+
+
+def test_budget_checker_flags_dropped_budgets():
+    source = (
+        "def leaf(x, budget=1):\n    pass\n"
+        "def kw(x, *, budget=1):\n    pass\n"
+        "def good(budget=1):\n    leaf(0, budget)\n    kw(0, budget=budget)\n"
+        "def bad(x, budget=1):\n    leaf(x)\n    kw(x)\n    other(x)\n"
+        "def free(x):\n    leaf(x)\n"
+    )
+    assert dropped_budgets([source]) == ["bad -> kw", "bad -> leaf"]
+
+
+def test_every_budget_is_passed_on():
+    # a nested search under the default budget escapes its caller's bound
+    assert dropped_budgets([p.read_text() for p in sorted(SRC.glob("*.py"))]) == []
+
+
+def budget_error_sites(source):
+    """Innermost enclosing function (or <module>) of each BudgetError(...) call."""
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        elif isinstance(node, ast.Call) and callee(node) == "BudgetError":
+            out.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(out)
+
+
+def test_budget_error_checker_finds_constructions():
+    source = (
+        "BudgetError('top')\n"
+        "def f():\n    raise BudgetError('x')\n"
+        "class K:\n    def m(self):\n        def inner():\n"
+        "            return errors.BudgetError('y')\n"
+        "try:\n    pass\nexcept BudgetError:\n    pass\n"
+    )
+    assert budget_error_sites(source) == ["<module>", "f", "inner"]
+
+
+def test_budget_refusals_in_one_place():
+    # up-front estimates go through errors.admit; the rest report a frontier
+    sites = [
+        f"{p.stem}.{where}"
+        for p in sorted(SRC.glob("*.py"))
+        for where in budget_error_sites(p.read_text())
+    ]
+    assert sorted(sites) == [
+        "certify.find_admissible_prime",
+        "certify.minimal_height_bound",
+        "cmcat.find_split_prime",
+        "cmcat.galois_orbit",
+        "errors.admit",
+    ]
 
 
 def module_level_names(source):

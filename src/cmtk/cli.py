@@ -189,6 +189,8 @@ def _cmd_hecke(ns, field):
         "psi": str(psi(N)),
         "reps": [r.json_obj() for r in reps],
     }
+    if ns.deg_y2 is not None and ns.deg_y is None:
+        raise DomainError("--deg-y2 needs --deg-y")
     if ns.deg_y is not None:
         bounds = degree_bounds(ns.n_power, N, ns.deg_y, ns.deg_y2)
         result["degree_bounds"] = {k: str(v) for k, v in bounds.items()}

@@ -1,9 +1,9 @@
 """Exact arithmetic in F_q and the polynomial ring A = F_q[T], q odd.
 
-Field elements are encoded as integers 0..q-1: for prime q the residue
-itself, for q = p^e the base-p digit string of a residue modulo a fixed
-primitive modulus (the code-smallest one, recorded on the FqSpec, so
-encodings are reproducible).
+Field elements are encoded as integers 0..q-1, q = p^e: the base-p digit
+string of a residue modulo a fixed primitive modulus of degree e (the
+code-smallest one, recorded on the FqSpec, so encodings are
+reproducible); for prime q that is the residue itself.
 
 Polynomials are coefficient tuples, constant term first, with no trailing
 zeros; the zero polynomial is the empty tuple.  The absolute value is
@@ -75,11 +75,12 @@ def _moebius(n):
 class FqSpec:
     """Arithmetic in F_q, q = p^e with p an odd prime and q <= 2^16.
 
-    Elements are integer codes 0..q-1.  For e > 1 the code is the base-p
-    digit string of the residue written on the power basis of T modulo
-    `modulus`, the canonical primitive modulus: the code-smallest monic
-    irreducible of degree e over F_p whose residue class of T generates
-    the multiplicative group.  Since T is then a generator g, every
+    Elements are integer codes 0..q-1: the base-p digit string of the
+    residue written on the power basis of T modulo `modulus`, the
+    canonical primitive modulus: the code-smallest monic irreducible of
+    degree e over F_p whose residue class of T generates the
+    multiplicative group (T + c for e = 1, so a code is its residue).
+    Since T is then a generator g, every
     operation is a table lookup on discrete logarithms, n = q - 1, read
     from log_tables(p, e):
 
@@ -101,13 +102,6 @@ class FqSpec:
         self.p = p
         self.e = e
         self.q = p**e
-        if e == 1:
-            self.modulus = self._exp = self._log = self._zech = self._neg = None
-            self._leg = tuple(
-                0 if c == 0 else (1 if pow(c, (p - 1) // 2, p) == 1 else -1)
-                for c in range(p)
-            )
-            return
         n = self.q - 1
         self.modulus, exp, log, zech = log_tables(p, e)
         self._exp = exp = tuple(exp) * 2 + (0,) * n
@@ -121,8 +115,6 @@ class FqSpec:
     # -- element operations (codes in, codes out) ---------------------------
 
     def add(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
         if not a:
             return b
         if not b:
@@ -131,16 +123,12 @@ class FqSpec:
         return self._exp[x + self._zech[self._log[b] - x]]
 
     def neg(self, a):
-        if self.e == 1:
-            return (-a) % self.p
         return self._neg[a]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self.e == 1:
-            return a * b % self.p
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
@@ -148,8 +136,6 @@ class FqSpec:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in F_q")
-        if self.e == 1:
-            return pow(a, -1, self.p)
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
     def pow_elt(self, a, k):
@@ -159,8 +145,6 @@ class FqSpec:
             if k < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 0
-        if self.e == 1:
-            return pow(a, k % (self.p - 1) if k >= 0 else k, self.p)
         return self._exp[(self._log[a] * k) % (self.q - 1)]
 
     def legendre(self, c):
@@ -186,18 +170,17 @@ class FqSpec:
 
 def primitive_modulus(p, e):
     """Code-smallest monic primitive polynomial of degree e over F_p."""
-    base = Fq(p)
     q = p**e
-    order_primes = list(factor_int(q - 1))
+    # T generates the q - 1 units modulo f iff no T^k below is 1
+    cofactors = [(q - 1) // ell for ell in factor_int(q - 1)]
+    if e == 1:  # f = T + c, so T = -c; integer pow, as F_p's tables are built from f
+        return next((c, 1) for c in range(1, p) if all(pow(-c, k, p) != 1 for k in cofactors))
+    base = Fq(p)
     for lower in range(p**e):
         f = kdec(base, p**e + lower)
         if f[0] == 0 or not kis_irreducible(base, f):
             continue  # T must be a unit modulo f
-        # primitive: T generates (F_p[T]/f)^* of order q-1
-        x = (0, 1)
-        if any(
-            kpow_mod(base, x, (q - 1) // ell, f) == (1,) for ell in order_primes
-        ):
+        if any(kpow_mod(base, (0, 1), k, f) == (1,) for k in cofactors):
             continue
         return f
     raise AssertionError("no primitive polynomial found")
@@ -294,29 +277,20 @@ def kdec(F, code):
 def kadd(F, a, b):
     if len(a) < len(b):
         a, b = b, a
-    if F.e == 1:
-        p = F.p
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % p
-    else:
-        exp, log, zech = F._exp, F._log, F._zech
-        out = list(a)
-        for i, c in enumerate(b):
-            if c:
-                o = out[i]
-                if o:
-                    x = log[o]
-                    out[i] = exp[x + zech[log[c] - x]]
-                else:
-                    out[i] = c
+    exp, log, zech = F._exp, F._log, F._zech
+    out = list(a)
+    for i, c in enumerate(b):
+        if c:
+            o = out[i]
+            if o:
+                x = log[o]
+                out[i] = exp[x + zech[log[c] - x]]
+            else:
+                out[i] = c
     return ktrim(out)
 
 
 def kneg(F, a):
-    if F.e == 1:
-        p = F.p
-        return tuple((-c) % p for c in a)
     return tuple(map(F._neg.__getitem__, a))
 
 
@@ -327,9 +301,6 @@ def ksub(F, a, b):
 def kscale(F, a, c):
     if c == 0:
         return ()
-    if F.e == 1:
-        p = F.p
-        return tuple(x * c % p for x in a)
     exp, log = F._exp, F._log
     y = log[c]
     return tuple(exp[log[x] + y] for x in a)
@@ -339,13 +310,6 @@ def kmul(F, a, b):
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
-    if F.e == 1:
-        p = F.p
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return ktrim([v % p for v in out])
     exp, log, zech, n = F._exp, F._log, F._zech, F.q - 1
     logs_b = [(j, log[bj]) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
@@ -368,20 +332,6 @@ def kdivmod(F, a, b):
     da, db = len(a) - 1, len(b) - 1
     if da < db:
         return (), a
-    if F.e == 1:
-        lc = b[-1]
-        inv_lc = 1 if lc == 1 else F.inv(lc)
-        p = F.p
-        rem = list(a)
-        quot = [0] * (da - db + 1)
-        for i in range(da - db, -1, -1):
-            c = rem[i + db] % p
-            if c:
-                c = c * inv_lc % p
-                quot[i] = c
-                for j in range(db + 1):
-                    rem[i + j] = (rem[i + j] - c * b[j]) % p
-        return ktrim(quot), ktrim(rem[:db])
     # subtracting (c / lc(b)) b_j adds g^(log c + m_j), where
     # m_j = log b_j - log lc(b) + n/2; the top term cancels and is not read again
     exp, log, zech, n = F._exp, F._log, F._zech, F.q - 1
@@ -654,7 +604,10 @@ def _kjacobi_prime(p, leg, recip_sign_active, a, b):
 
     The divisor is always monic, so each remainder step needs no inverse;
     coefficients are reduced mod p only when read as a pivot or once the
-    remainder is complete.
+    remainder is complete.  The one integer mod-p path left in F_q
+    arithmetic, kept because it is faster: on a shared 2-vCPU machine the
+    criterion-08 sweep took 68-72 s with F_p sent through the table body,
+    against 41-47 s on this chain.
     """
     result = 1
     while True:

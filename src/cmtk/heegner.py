@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .errors import DEFAULT_ENUM_BUDGET, DomainError, FieldRejected, NotSplitError
+from .errors import DEFAULT_ENUM_BUDGET, DomainError, FieldRejected, NotSplitError, admit
 from .ffpoly import (
     Poly,
     as_prime,
@@ -113,19 +113,23 @@ def find_heegner_fields(spec, mode="direct", budget=DEFAULT_ENUM_BUDGET):
     direct mode scans all radicands in canonical order; lemma mode scans
     only odd-degree monic primes congruent to 1 mod the level (the
     construction that proves infinitude), for which every character
-    condition holds automatically.  The budget bounds each degree's
-    prime sieve in lemma mode.
+    condition holds automatically.  The budget bounds the number of
+    radicands scanned in direct mode (a longer range that does not reach
+    `count` within it is refused) and each degree's prime sieve in lemma
+    mode.
     """
     field = spec.field
     level_primes = spec.level_primes()
     found = []
     if mode == "direct":
-        for code in range(field.q, field.q ** (spec.max_degree + 1)):
+        codes = range(field.q, field.q ** (spec.max_degree + 1))
+        for code in codes[:budget]:
             K = _passes(field, Poly.make(field, kdec(field, code)), level_primes)
             if K is not None:
                 found.append(K)
                 if len(found) == spec.count:
                     return HeegnerSearch(tuple(found), False)
+        admit(len(codes), budget, "Heegner radicand scan", found=len(found))
         return HeegnerSearch(tuple(found), True)
     if mode == "lemma":
         one = Poly.constant(field, 1)

@@ -166,10 +166,9 @@ def _ext_tables(field, i):
                     acc = None if z == 2 * N else (acc + z) % N
         return acc
 
-    root = 0  # log_g of the image of T, a root of field.modulus
-    if field.e > 1:
-        step = N // (field.q - 1)  # F_q^x is generated by g^step
-        root = next(b for b in range(step, N, step) if log_at(field.modulus, b) is None)
+    step = N // (field.q - 1)  # F_q^x is generated by g^step
+    # log_g of the image of T, a root of field.modulus
+    root = next(b for b in range(step, N, step) if log_at(field.modulus, b) is None)
     clog = [None] + [
         log_at([(code // p**j) % p for j in range(field.e)], root) for code in range(1, field.q)
     ]

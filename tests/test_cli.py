@@ -51,6 +51,8 @@ def test_exit_code_domain(capsys):
         ["certify", "--q", "3", "--bound", "2", "--point", "99"], capsys
     )
     assert code == 2 and "out of range" in err
+    code, _, err = _run(["hecke", "--q", "3", "--level", "T", "--deg-y2", "3"], capsys)
+    assert code == 2 and "--deg-y2 needs --deg-y" in err
 
 
 def test_exit_code_budget(capsys):
@@ -160,6 +162,18 @@ def test_enum_budget_reaches_heegner_lemma_sieve(capsys):
     # the degree-5 sieve needs 5 * 3^5 = 1215 > 100: refused, not skipped
     code, _, err = _run(lemma + ["--enum-budget", "100"], capsys)
     assert code == 3 and "irreducible enumeration" in err
+
+
+def test_enum_budget_bounds_heegner_direct_scan(capsys):
+    # degrees <= 7 hold 3^8 - 3 = 6558 radicands; level T^2+T passes far fewer
+    direct = ["heegner", "--q", "3", "--level", "T^2+T", "--count", "100000000"]
+    code, _, err = _run(direct + ["--max-degree", "7", "--enum-budget", "1000"], capsys)
+    assert code == 3 and "Heegner radicand scan needs work ~ 6558 > budget 1000" in err
+    result = _result(direct + ["--max-degree", "7", "--enum-budget", "6558"], capsys)
+    assert result["exhausted"] is True
+    # 3^15 radicands: refused after 1000 of them, not scanned
+    code, _, err = _run(direct + ["--max-degree", "14", "--enum-budget", "1000"], capsys)
+    assert code == 3 and "Heegner radicand scan" in err
 
 
 # sha256 of `certify --q 5 --d 30 --bound 5 --point 0 --enum-budget 100`:

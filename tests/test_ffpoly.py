@@ -353,9 +353,10 @@ def test_prime_norm():
 
 
 # ---------------------------------------------------------------------------
-# table arithmetic of F_{p^e} against base-p digits
+# table arithmetic of F_{p^e} against base-p digits (e = 1 included: prime
+# fields run on the same tables)
 
-TABLE_QS = (9, 25, 27, 49, 81, 125)
+TABLE_QS = (3, 5, 7, 13, 9, 25, 27, 49, 81, 125)
 
 
 def digit_add(F, a, b):
@@ -415,11 +416,26 @@ def power_basis_by_division(p, n):
     return W, exp, log, zech
 
 
-@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (5, 3), (3, 8)])
+@pytest.mark.parametrize(
+    "p, n", [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (5, 3), (3, 8), (5, 1), (7, 1), (13, 1)]
+)
 def test_log_tables_match_power_basis_by_division(p, n):
     W, exp, log, zech = log_tables(p, n)
     assert (W, list(exp), list(log), list(zech)) == power_basis_by_division(p, n)
     assert sorted(exp) == list(range(1, p**n))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 257])
+def test_prime_modulus_is_the_smallest_primitive_root_shift(p):
+    # T + c is primitive iff T = -c has multiplicative order p - 1
+    def order(g):
+        k, x = 1, g
+        while x != 1:
+            k, x = k + 1, x * g % p
+        return k
+
+    c = next(c for c in range(1, p) if order(-c % p) == p - 1)
+    assert primitive_modulus(p, 1) == (c, 1)
 
 
 @pytest.mark.parametrize("q", [3, 9])

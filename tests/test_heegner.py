@@ -2,7 +2,7 @@
 
 import pytest
 
-from cmtk.errors import DomainError, NotSplitError
+from cmtk.errors import BudgetError, DomainError, NotSplitError
 from cmtk.ffpoly import Fq, as_prime, parse_poly, quadratic_character
 from cmtk.quadfield import analyze_quadratic, order_class_number
 from cmtk.heegner import (
@@ -37,6 +37,14 @@ def test_trivial_level_returns_canonical_radicands():
     big = find_heegner_fields(_spec("1", max_degree=1, count=10**6))
     assert big.exhausted
     assert [K.m.text() for K in big.fields] == ["T", "T+1", "T+2", "2*T", "2*T+1", "2*T+2"]
+
+
+def test_direct_scan_stops_at_budget():
+    spec = _spec("1", max_degree=2, count=10**6)  # 3^3 - 3 = 24 radicands
+    assert find_heegner_fields(spec, budget=24).exhausted
+    with pytest.raises(BudgetError) as err:
+        find_heegner_fields(spec, budget=5)
+    assert err.value.info == {"found": 5, "budget": 5}
 
 
 def test_level_T_constant_term_is_square():

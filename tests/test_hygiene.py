@@ -1,7 +1,8 @@
 """Source hygiene: imports in src/cmtk are read, re-exports have users,
 defaulted parameters are set by some caller, budgets are passed on and
-refused in one place, every CLI option is read, and the functions the
-benchmark tracer wraps exist.
+refused in one place, F_q arithmetic does not fork on the field degree,
+every CLI option is read, and the functions the benchmark tracer wraps
+exist.
 
 __init__.py is left out of the unused-import check: its imports are the
 re-exported public API, which has a check of its own.
@@ -234,20 +235,25 @@ def test_every_budget_is_passed_on():
     assert dropped_budgets([p.read_text() for p in sorted(SRC.glob("*.py"))]) == []
 
 
-def budget_error_sites(source):
-    """Innermost enclosing function (or <module>) of each BudgetError(...) call."""
+def sites(source, hit):
+    """Innermost enclosing function (or <module>) of each node that hit accepts."""
     out = []
 
     def visit(node, where):
         if isinstance(node, ast.FunctionDef):
             where = node.name
-        elif isinstance(node, ast.Call) and callee(node) == "BudgetError":
+        elif hit(node):
             out.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(ast.parse(source), "<module>")
     return sorted(out)
+
+
+def budget_error_sites(source):
+    """Innermost enclosing function (or <module>) of each BudgetError(...) call."""
+    return sites(source, lambda n: isinstance(n, ast.Call) and callee(n) == "BudgetError")
 
 
 def test_budget_error_checker_finds_constructions():
@@ -275,6 +281,37 @@ def test_budget_refusals_in_one_place():
         "cmcat.galois_orbit",
         "errors.admit",
     ]
+
+
+def degree_forks(source):
+    """Functions that compare a field's degree: an operand `<x>.e` of a comparison."""
+
+    def hit(node):
+        if not isinstance(node, ast.Compare):
+            return False
+        return any(getattr(x, "attr", None) == "e" for x in [node.left, *node.comparators])
+
+    return sorted(set(sites(source, hit)))
+
+
+def test_degree_fork_checker_flags_comparisons():
+    source = (
+        "def kernel(F, a):\n    if F.e == 1:\n        return a\n"
+        "class Spec:\n    def op(self, a):\n        return a if 1 < self.field.e else 0\n"
+        "def local(e):\n    return e == 1\n"
+        "def pair(F, G):\n    return (F.p, F.e) == (G.p, G.e)\n"
+        "def reads(F):\n    return F.p ** (F.e - 1)\n"
+    )
+    assert degree_forks(source) == ["kernel", "op"]
+
+
+def test_fq_arithmetic_does_not_fork_on_degree():
+    # prime fields run on the log/Zech tables too; kjacobi keeps its measured
+    # F_p chain, and the text syntax of coefficients depends on e
+    forks = [
+        f"{p.stem}.{where}" for p in sorted(SRC.glob("*.py")) for where in degree_forks(p.read_text())
+    ]
+    assert forks == ["ffpoly.kjacobi", "ffpoly.poly_from_text"]
 
 
 def module_level_names(source):

@@ -189,10 +189,12 @@ def _cmd_hecke(ns, field):
         "psi": str(psi(N)),
         "reps": [r.json_obj() for r in reps],
     }
-    if ns.deg_y2 is not None and ns.deg_y is None:
-        raise DomainError("--deg-y2 needs --deg-y")
+    for flag, value in (("--deg-y2", ns.deg_y2), ("--n-power", ns.n_power)):
+        if value is not None and ns.deg_y is None:
+            raise DomainError(f"{flag} needs --deg-y")
     if ns.deg_y is not None:
-        bounds = degree_bounds(ns.n_power, N, ns.deg_y, ns.deg_y2)
+        n = 2 if ns.n_power is None else ns.n_power
+        bounds = degree_bounds(n, N, ns.deg_y, ns.deg_y2)
         result["degree_bounds"] = {k: str(v) for k, v in bounds.items()}
     if ns.covering:
         orders = covering_group_orders(N, budget=ns.enum_budget)
@@ -312,7 +314,7 @@ def _build_parser():
     p.add_argument("--level", required=True)
     p.add_argument("--deg-y", type=int, default=None)
     p.add_argument("--deg-y2", type=int, default=None)
-    p.add_argument("--n-power", type=int, default=2)
+    p.add_argument("--n-power", type=int, default=None)
     p.add_argument("--covering", action="store_true")
 
     p = sub("split-count", _cmd_split_count, enum)

@@ -135,13 +135,80 @@ def _imaginary_radicands_of_genus(field, g):
     return out
 
 
+def _orbit_images(F, m):
+    """Normal forms of sigma^k(m)(aT + b) for a in F_q^x, b in F_q, sigma^k(c) = c^(p^k).
+
+    T -> aT + b is an automorphism of A fixing infinity, and Frobenius on
+    the coefficients keeps every point count, so each image defines a
+    field with the L-polynomial of k(sqrt m).  Each image is scaled by a
+    square unit into the catalogue's normal form, leading coefficient 1
+    or c0, which does not change the field.  For each b, m(T + b) comes
+    from synthetic division; T -> g^s T then adds j s to the log of
+    coefficient j.  Everything is read from F's log/Zech tables, as in
+    the k* kernels; the set includes m itself.
+    """
+    exp, log, zech, n, p = F._exp, F._log, F._zech, F.q - 1, F.p
+    c0_log = log[F.canonical_nonsquare()]
+    d = len(m) - 1
+    images = set()
+    conj = m
+    for _ in range(F.e):
+        for b in range(F.q):
+            c = list(conj)
+            if b:
+                y = log[b]
+                for i in range(d):
+                    for j in range(d - 1, i - 1, -1):  # c_j += b c_(j+1)
+                        hi = c[j + 1]
+                        if hi:
+                            w = log[hi] + y
+                            lo = c[j]
+                            if lo:
+                                x = log[lo]
+                                c[j] = exp[x + zech[(w - x) % n]]
+                            else:
+                                c[j] = exp[w]
+            logs = [log[x] for x in c]  # 2n for a zero coefficient, so exp gives 0
+            top = logs[d]
+            for s in range(n):
+                lead = top + d * s
+                t = -lead if lead % 2 == 0 else c0_log - lead  # a square unit
+                images.add(tuple(exp[x + (j * s + t) % n] for j, x in enumerate(logs)))
+        conj = tuple(exp[log[x] * p % n] if x else 0 for x in conj)
+    return images
+
+
+def _class_numbers(radicands, budget):
+    """h_K of each radicand, with one zeta pass per orbit of _orbit_images.
+
+    The first radicand of an orbit, in list order, gets the zeta pass; its
+    images wait in a memo until the walk reaches them, so the memo holds
+    only the orbits still pending.  Every image is itself a listed radicand
+    of the genus, so the memo ends empty.
+    """
+    pending = {}
+    out = []
+    for K in radicands:
+        key = K.m.coeffs
+        h = pending.pop(key, None)
+        if h is None:
+            h = class_number_zeta(K, budget)
+            pending.update(dict.fromkeys(_orbit_images(K.field, key), h))
+            del pending[key]
+        out.append(h)
+    if pending:
+        raise AssertionError("an orbit image is not a listed radicand")
+    return out
+
+
 def enumerate_cm_points(field, bound, budget=DEFAULT_ENUM_BUDGET):
     """Catalogue of all (m, f) with q^g |f| < bound, canonically sorted.
 
     Radicands are listed once per F_q^x-square scaling class; each row
     carries h = |Pic(R)| from the conductor formula, so the total number
     of CM points of height < bound is the sum of the h column.  h_K is
-    computed once per radicand and each conductor is factored once.
+    computed by one zeta pass per orbit of radicands under T -> aT + b
+    and Frobenius (_class_numbers), and each conductor is factored once.
     """
     if bound < 1:
         raise DomainError("height bound must be >= 1")
@@ -157,7 +224,7 @@ def enumerate_cm_points(field, bound, budget=DEFAULT_ENUM_BUDGET):
     admit(work, budget, "CM catalogue scan", bound=bound)
     for g in range(level_max + 1):
         radicands = _imaginary_radicands_of_genus(field, g)
-        fields = [(K.m, class_number_zeta(K, budget)) for K in radicands]
+        fields = [(K.m, h) for K, h in zip(radicands, _class_numbers(radicands, budget))]
         for deg_f in range(level_max - g + 1):
             height = q ** (g + deg_f)
             conductors = [(f, factor_monic(f)) for f in monic_polys(field, deg_f)]

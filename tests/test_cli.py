@@ -53,6 +53,8 @@ def test_exit_code_domain(capsys):
     assert code == 2 and "out of range" in err
     code, _, err = _run(["hecke", "--q", "3", "--level", "T", "--deg-y2", "3"], capsys)
     assert code == 2 and "--deg-y2 needs --deg-y" in err
+    code, _, err = _run(["hecke", "--q", "3", "--level", "T", "--n-power", "5"], capsys)
+    assert code == 2 and "--n-power needs --deg-y" in err
 
 
 def test_exit_code_budget(capsys):

@@ -1,11 +1,23 @@
 """CM catalogue: heights, bounded enumeration, Galois action bookkeeping."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from cmtk.errors import BudgetError, DomainError, NotSplitError, UnsupportedPath
+from cmtk import cmcat
+from cmtk.errors import (
+    DEFAULT_ENUM_BUDGET,
+    BudgetError,
+    DomainError,
+    NotSplitError,
+    UnsupportedPath,
+)
 from cmtk.cmcat import (
     CMPoint,
+    _class_numbers,
+    _imaginary_radicands_of_genus,
+    _orbit_images,
     _squarefree_monics,
     acting_ideal_form,
     catalogue_json,
@@ -24,6 +36,7 @@ from cmtk.ffpoly import (
     fq_from_q,
     irreducibles,
     jacobi_symbol,
+    kenc,
     monic_polys,
     parse_poly,
     poly_from_text,
@@ -33,6 +46,7 @@ from cmtk.quadfield import (
     QuadOrder,
     analyze_quadratic,
     class_group,
+    class_number_zeta,
     order_class_number,
     principal_form,
 )
@@ -115,6 +129,83 @@ def test_catalogue_json_shape():
 def test_catalogue_budget():
     with pytest.raises(BudgetError):
         enumerate_cm_points(F3, 3**9, budget=1000)
+
+
+# ---------------------------------------------------------------------------
+# one zeta pass per orbit of radicands under T -> aT + b and Frobenius
+
+
+def _brute_orbit(F, m):
+    """Normal forms of the orbit of m, by Poly substitution and FqSpec ops."""
+    c0 = F.canonical_nonsquare()
+    out = set()
+    conj = m
+    for _ in range(F.e):
+        for a in range(1, F.q):
+            for b in range(F.q):
+                image = Poly(F, ())
+                for c in reversed(conj):
+                    image = image * Poly(F, (b, a)) + Poly.constant(F, c)
+                lead = image.leading
+                unit = F.inv(lead) if F.legendre(lead) == 1 else F.mul(c0, F.inv(lead))
+                out.add((image * Poly.constant(F, unit)).coeffs)
+        conj = tuple(F.pow_elt(c, F.p) for c in conj)
+    return out
+
+
+@pytest.mark.parametrize("q, max_genus", [(3, 3), (5, 2), (9, 1)])
+def test_orbit_sharing_matches_direct_zeta(q, max_genus):
+    # includes degrees with p | deg m: 3 and 6 at q = 3, 5 at q = 5
+    F = fq_from_q(q)
+    for g in range(max_genus + 1):
+        radicands = _imaginary_radicands_of_genus(F, g)
+        shared = _class_numbers(radicands, DEFAULT_ENUM_BUDGET)
+        assert shared == [class_number_zeta(K) for K in radicands]
+
+
+@pytest.mark.parametrize("q", [25, 27])
+def test_orbit_images_of_sampled_radicands(q):
+    # Frobenius has order e = 2 and 3 here; representatives are drawn, not listed
+    F = fq_from_q(q)
+    c0 = F.canonical_nonsquare()
+    rng = random.Random(q)
+    for degree, leads in ((3, (1, c0)), (4, (c0,))):
+        sampled = 0
+        while sampled < 2:
+            m = Poly(F, (*(rng.randrange(q) for _ in range(degree)), rng.choice(leads)))
+            if not m.is_squarefree():
+                continue
+            sampled += 1
+            h = class_number_zeta(analyze_quadratic(F, m))
+            images = _orbit_images(F, m.coeffs)
+            assert images == _brute_orbit(F, m.coeffs)
+            for coeffs in images:
+                image = Poly(F, coeffs)
+                assert image.degree == degree and image.is_squarefree()
+                assert image.leading in leads
+                assert class_number_zeta(analyze_quadratic(F, image)) == h
+
+
+@pytest.mark.parametrize("q, bound, max_genus", [(3, 30, 3), (9, 10, 1)])
+def test_catalogue_runs_one_zeta_pass_per_orbit(q, bound, max_genus, monkeypatch):
+    F = fq_from_q(q)
+    canonical = {}  # radicand -> least code in its orbit
+    for g in range(max_genus + 1):
+        for K in _imaginary_radicands_of_genus(F, g):
+            if K.m.coeffs not in canonical:
+                orbit = _brute_orbit(F, K.m.coeffs)
+                least = min(kenc(F, c) for c in orbit)
+                canonical.update(dict.fromkeys(orbit, least))
+    calls = []
+    zeta = cmcat.class_number_zeta
+
+    def counted(K, budget):
+        calls.append(canonical[K.m.coeffs])
+        return zeta(K, budget)
+
+    monkeypatch.setattr(cmcat, "class_number_zeta", counted)
+    enumerate_cm_points(F, bound)
+    assert sorted(calls) == sorted(set(canonical.values()))  # one pass per orbit
 
 
 @pytest.mark.parametrize("q, max_degree", [(3, 6), (9, 3)])

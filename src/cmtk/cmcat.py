@@ -93,17 +93,16 @@ class CatalogueRow:
         F = self.m.field
         return (self.height, kenc(F, self.m.coeffs), kenc(F, self.conductor.coeffs))
 
-    def json_obj(self, row_id=None):
-        obj = {
-            "m": self.m.text(),
-            "f": self.conductor.text(),
+    def json_obj(self, row_id, text):
+        """The row's object; text maps each coefficient tuple to its rendering."""
+        return {
+            "m": text[self.m.coeffs],
+            "f": text[self.conductor.coeffs],
             "genus": self.genus,
             "h": str(self.h),
             "H_CM": str(self.height),
+            "id": row_id,
         }
-        if row_id is not None:
-            obj["id"] = row_id
-        return obj
 
 
 def _squarefree_monics(field, d):
@@ -244,7 +243,10 @@ def catalogue_total(rows):
 
 
 def catalogue_json(rows):
-    return [row.json_obj(row_id=i) for i, row in enumerate(rows)]
+    """Row objects with their index as id; each distinct m and f is rendered once."""
+    polys = {p.coeffs: p for row in rows for p in (row.m, row.conductor)}
+    text = {coeffs: p.text() for coeffs, p in polys.items()}
+    return [row.json_obj(i, text) for i, row in enumerate(rows)]
 
 
 def point_from_row(row, field):

@@ -25,8 +25,9 @@ Class groups are computed two independent ways:
   maximal order.  The forms are found by a walk over the monic a of
   degree <= g_D as products of prime powers p^k in increasing code,
   cut where D has no root mod p^k.  Roots mod p^k come from a table
-  built by squaring once per (q, p^k); roots mod a p^k are joined from
-  those mod a and mod p^k by CRT.  No composite modulus is tabled.
+  built by squaring once per (q, p^k), less those of non-invertible
+  forms; roots mod a p^k are joined from those mod a and mod p^k by
+  CRT.  No composite modulus is tabled.
 
 Both are exact; tests pit one against the other and against the
 conductor formula h(R) = h_K |f| prod_{p | f} (1 - chi(p)/|p|).
@@ -345,9 +346,11 @@ def _prime_power_roots(field, pk):
 
 @functools.cache
 def _crt_cofactor(field, a, pk):
-    """t = a^-1 mod pk, so that e = a t is the CRT idempotent: 0 mod a, 1 mod pk."""
-    _, u, _ = kxgcd(field, a, pk)
-    return kmod(field, u, pk)
+    """t = a^-1 mod pk, so that e = a t is the CRT idempotent: 0 mod a, 1 mod pk (checked)."""
+    t = kmod(field, kxgcd(field, a, pk)[1], pk)
+    if kmod(field, kmul(field, a, t), pk) != (1,):
+        raise AssertionError("CRT moduli are not coprime")
+    return t
 
 
 @functools.cache
@@ -394,10 +397,10 @@ class FormClass:
     Corresponds to the R-ideal aA + (b + sqrt(D))A; the third coefficient
     is c = (b^2 - D)/a.  Invertible (proper) iff gcd(a, b, c) = 1.
 
-    gcd(a, f) = 1 already proves it, f the conductor: g = gcd(a, b, c)
-    has g^2 | b^2 - ac = D = f^2 m, and m is squarefree, so every prime
-    of g divides f as well as a.  Maximal orders (f = 1) thus never
-    compute c; only when a shares a prime with f does the full gcd run.
+    Every prime of g = gcd(a, b, c) divides the conductor f, as g^2 divides
+    b^2 - ac = D = f^2 m and m is squarefree; so is_invertible computes c
+    only when gcd(a, f) != 1.  Construction checks a | b^2 - D, except in
+    enumerate_reduced_forms (_built), whose walk proves it.
     """
 
     order: QuadOrder
@@ -413,6 +416,14 @@ class FormClass:
             raise DomainError("form coefficient a must be monic")
         if self.b.degree >= self.a.degree and not self.b.is_zero:
             raise DomainError("form requires deg b < deg a")
+
+    @classmethod
+    def _built(cls, order, a, b):
+        """A form enumerate_reduced_forms proved invertible with a | b^2 - D: no re-check."""
+        form = object.__new__(cls)
+        for name, value in (("order", order), ("a", a), ("b", b)):
+            object.__setattr__(form, name, value)
+        return form
 
     @property
     def c(self):
@@ -547,7 +558,14 @@ class ClassGroup:
 
 
 def enumerate_reduced_forms(order, budget=DEFAULT_ENUM_BUDGET):
-    """All invertible reduced forms of radicand D, canonically ordered."""
+    """All invertible reduced forms of radicand D, canonically ordered.
+
+    a is a product of prime powers p^k || a, and b joins one root r of D
+    mod each p^k from its table.  So a | b^2 - D, as _crt_cofactor checks
+    the a t = 1 mod p^k that makes b = r mod p^k; and p | gcd(a, b, c) iff
+    p | r and r^2 = D mod p^{k+1}, which needs p | f.  Those r are dropped
+    from the tables, so every form the walk builds is emitted, unchecked.
+    """
     if order.D.degree % 2 == 0:
         raise UnsupportedPath(
             "reduced-form enumeration requires a ramified-type radicand"
@@ -555,30 +573,34 @@ def enumerate_reduced_forms(order, budget=DEFAULT_ENUM_BUDGET):
     F = order.K.field
     gD = order.genus_parameter
     admit(F.q ** (2 * gD), budget, "form enumeration", deg_D=order.D.degree)
-    D = order.D.coeffs
-    # per prime p of degree <= g_D: (p^k, roots of D mod p^k) for k = 1, 2, ...
-    # up to degree g_D or the first p^k mod which D has no root
+    D, f = order.D.coeffs, order.conductor.coeffs
+    # per prime p of degree <= g_D: (p^k, roots of D mod p^k of invertible forms)
+    # for k = 1, 2, ... up to degree g_D or the first p^k mod which D has no root
     local = []
     for d in range(1, gD + 1):
         for p in irreducibles(F, d, budget):
-            powers, pk = [], p.coeffs
+            p = p.coeffs
+            powers, pk = [], p
             while len(pk) - 1 <= gD:
                 roots = _prime_power_roots(F, pk).get(kmod(F, D, pk))
                 if roots is None:
                     break
-                powers.append((pk, roots))
-                pk = kmul(F, pk, p.coeffs)
+                pk1 = kmul(F, pk, p)
+                if not kmod(F, f, p):
+                    roots = tuple(
+                        r for r in roots if kmod(F, r, p) or kmod(F, ksub(F, kmul(F, r, r), D), pk1)
+                    )
+                powers.append((pk, roots))  # kept if empty: p^(k+1) may have roots
+                pk = pk1
             if powers:
                 local.append(powers)
     out = []
+    build = functools.partial(FormClass._built, order)
 
     def walk(a, roots, start):
         """Emit the forms of a, then extend a by prime powers after local[start - 1]."""
         A = Poly(F, a)
-        for b in roots:
-            form = FormClass(order, A, Poly(F, b))
-            if form.is_invertible:
-                out.append(form)
+        out.extend(build(A, Poly(F, b)) for b in roots)
         room = gD - (len(a) - 1)
         for i in range(start, len(local)):
             if len(local[i][0][0]) - 1 > room:
@@ -586,6 +608,8 @@ def enumerate_reduced_forms(order, budget=DEFAULT_ENUM_BUDGET):
             for pk, roots_pk in local[i]:
                 if len(pk) - 1 > room:
                     break
+                if not roots_pk:
+                    continue
                 if a == (1,):
                     walk(pk, roots_pk, i + 1)
                 else:

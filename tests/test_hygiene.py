@@ -1,8 +1,8 @@
 """Source hygiene: imports in src/cmtk are read, re-exports have users,
 defaulted parameters are set by some caller, budgets are passed on and
 refused in one place, F_q arithmetic does not fork on the field degree,
-every CLI option is read, and the functions the benchmark tracer wraps
-exist.
+only the forms walk builds forms without the a | b^2 - D check, every
+CLI option is read, and the functions the benchmark tracer wraps exist.
 
 __init__.py is left out of the unused-import check: its imports are the
 re-exported public API, which has a check of its own.
@@ -312,6 +312,22 @@ def test_fq_arithmetic_does_not_fork_on_degree():
         f"{p.stem}.{where}" for p in sorted(SRC.glob("*.py")) for where in degree_forks(p.read_text())
     ]
     assert forks == ["ffpoly.kjacobi", "ffpoly.poly_from_text"]
+
+
+def test_unchecked_form_constructor_only_in_the_walk(capsys):
+    # FormClass._built skips the a | b^2 - D check; only the forms walk, which
+    # proves it, may call it, so user start forms keep every check
+    where = [
+        f"{p.stem}.{site}"
+        for p in sorted(SRC.glob("*.py"))
+        for site in sites(p.read_text(), lambda n: isinstance(n, ast.Attribute) and n.attr == "_built")
+    ]
+    assert where == ["quadfield.enumerate_reduced_forms"]
+    orbit = ["cm-orbit", "--q", "3", "--m", "T^3+2*T+1", "--f", "T", "--prime", "T+1"]
+    for start in (["--a", "T", "--b", "1"], ["--a", "T", "--b", "0"]):  # b^2 != D mod a; gcd = T
+        assert cli.main(orbit + start) == 2
+    err = capsys.readouterr().err
+    assert "not congruent to D" in err and "not invertible" in err
 
 
 def module_level_names(source):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from cmtk import quadfield
 from cmtk.errors import BudgetError, FieldRejected, UnsupportedPath
 from cmtk.ffpoly import (
     Fq,
@@ -481,6 +482,62 @@ def test_reduced_forms_match_brute_force(q, m, f):
     forms = enumerate_reduced_forms(order)
     assert [form.key() for form in forms] == expected
     assert len(forms) == order_class_number(order.K, f)[0]
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_walk_keeps_exactly_the_invertible_roots(q):
+    # the walk drops the roots of forms that are not invertible from its
+    # prime-power tables; check its keys against every root from sqrtmod
+    # with the full gcd(a, b, c), for conductors with repeated and mixed
+    # primes, and that every emitted form has a | b^2 - D
+    F = fq_from_q(q)
+    T, one = Poly(F, (0, 1)), Poly.constant(F, 1)
+    conductors = [T * T, T * T * T, T * T * (T + 1), (T + 1) * (T + 1)]
+    radicands = [T, next(m for m in _imaginary_radicands(F, 3) if m.coeffs[0])]  # T | m, T ∤ m
+    kept_with_p_dividing_b = 0  # invertible forms with p | a, p | f and p | b
+    for m in radicands:
+        K = analyze_quadratic(F, m)
+        for f in conductors:
+            order = QuadOrder.make(K, f)
+            if q**order.genus_parameter > 1000:  # keep the brute force small (q = 9, deg D = 9)
+                continue
+            D = order.D
+            expected = []
+            for d in range(order.genus_parameter + 1):
+                for a in monic_polys(F, d):
+                    for b in sqrtmod(F, D.coeffs, a.coeffs):
+                        b = Poly(F, b)
+                        if a.gcd(b).gcd((b * b - D) // a) == one:
+                            expected.append((kenc(F, a.coeffs), kenc(F, b.coeffs)))
+                            kept_with_p_dividing_b += not a.gcd(b).gcd(f) == one
+            forms = enumerate_reduced_forms(order)
+            assert [form.key() for form in forms] == sorted(expected)
+            assert all(((form.b * form.b - D) % form.a).is_zero for form in forms)
+    # so dropping every root with p | r would fail
+    assert kept_with_p_dividing_b > 0
+
+
+def test_walk_builds_only_emitted_forms_without_gcd(monkeypatch):
+    # on a non-maximal order the walk calls neither kgcd nor the a | b^2 - D
+    # re-check in __post_init__, and builds exactly the h forms it emits
+    K = analyze_quadratic(F3, "T^3+2*T+1")
+    order = QuadOrder.make(K, "T^3+T^2")  # T^2 (T + 1): a repeated and a second prime
+    h, _ = order_class_number(K, order.conductor)
+    calls = dict.fromkeys(("kgcd", "post_init", "built"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(quadfield, "kgcd", counted("kgcd", quadfield.kgcd))
+    monkeypatch.setattr(FormClass, "__post_init__", counted("post_init", FormClass.__post_init__))
+    built = FormClass._built.__func__
+    monkeypatch.setattr(FormClass, "_built", classmethod(counted("built", built)))
+    assert class_group(order).h == h
+    assert calls == {"kgcd": 0, "post_init": 0, "built": h}
 
 
 def test_forms_budget():
